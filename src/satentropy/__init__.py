@@ -8,6 +8,7 @@ from .counter import (
     count_conditioned,
     count_models,
     count_models_bruteforce,
+    count_with_marginals,
 )
 from .entropy import (
     FormulaProfile,
@@ -44,6 +45,7 @@ __all__ = [
     "count_conditioned",
     "count_models",
     "count_models_bruteforce",
+    "count_with_marginals",
     "FormulaProfile",
     "UnsatisfiableFormula",
     "VariableProfile",

@@ -1,10 +1,12 @@
 """Exact model counting.
 
-count_models is a DPLL-style counter with unit propagation, connected
-component decomposition and component caching; count_models_bruteforce is
-an independent truth-table oracle used by the test suite. Both count total
-assignments over all declared variables, so a variable that occurs in no
-clause doubles the count.
+count_with_marginals is a DPLL-style counter with unit propagation,
+connected component decomposition and component caching. In one pass it
+returns the model count and, per variable, the number of models that set
+the variable true; count_models is its count half. count_models_bruteforce
+is an independent truth-table oracle used by the test suite. All count
+total assignments over all declared variables, so a variable that occurs
+in no clause doubles the count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class _Run:
     budget: CountBudget = field(default_factory=CountBudget)
     nodes: int = 0
     deadline: float | None = None
-    cache: "OrderedDict[tuple, int]" = field(default_factory=OrderedDict)
+    cache: "OrderedDict[tuple, tuple[int, dict]]" = field(default_factory=OrderedDict)
 
     def __post_init__(self):
         if self.budget.max_seconds is not None:
@@ -50,7 +52,7 @@ class _Run:
                     f"time budget {self.budget.max_seconds}s exceeded"
                 )
 
-    def cache_put(self, key: tuple, value: int):
+    def cache_put(self, key: tuple, value: tuple[int, dict]):
         self.cache[key] = value
         if len(self.cache) > self.budget.max_cache_entries:
             self.cache.popitem(last=False)
@@ -100,31 +102,68 @@ def _components(clauses: tuple) -> list[tuple]:
     return [tuple(g) for g in groups.values()]
 
 
-def _count_over(clauses: tuple, run: _Run) -> int:
-    """Number of models over exactly the variables occurring in `clauses`."""
+def _lift(count: int, marg: dict, free, true_lits) -> tuple[int, dict]:
+    """Extend a residual result to the variables conditioning removed.
+
+    `free` vanished without being assigned, so each doubles the count and is
+    true in half the models; each literal of `true_lits` was asserted, so its
+    variable is true in all models or in none. Always returns a fresh dict.
+    """
+    if not count:
+        return 0, {}
+    k = len(free)
+    total = count << k
+    out = {v: m << k for v, m in marg.items()} if k else dict(marg)
+    if k:
+        half = count << (k - 1)
+        for v in free:
+            out[v] = half
+    for l in true_lits:
+        if l > 0:
+            out[l] = total
+    return total, out
+
+
+def _count_marginals(clauses: tuple, run: _Run) -> tuple[int, dict]:
+    """Models over exactly the variables occurring in `clauses`, and for each
+    of those variables the number of models that set it true.
+
+    Variables missing from the marginal dict are true in no model. Returned
+    dicts may be shared with the component cache: callers must not mutate
+    them.
+    """
     run.tick()
     if not clauses:
-        return 1
+        return 1, {}
 
     # unit propagation
     units = {cl[0] for cl in clauses if len(cl) == 1}
     if units:
         if any(-l in units for l in units):
-            return 0
+            return 0, {}
         reduced = _condition(clauses, units)
         if reduced is None:
-            return 0
-        free = len(_vars_of(clauses)) - len(_vars_of(reduced)) - len(units)
-        return _count_over(reduced, run) << free
+            return 0, {}
+        free = _vars_of(clauses) - _vars_of(reduced) - {abs(l) for l in units}
+        return _lift(*_count_marginals(reduced, run), free, units)
 
     comps = _components(clauses)
     if len(comps) > 1:
+        # each marginal is scaled by the product of the other components' counts
+        parts = []
         total = 1
         for comp in comps:
-            total *= _count_over(comp, run)
+            part = _count_marginals(comp, run)
+            total *= part[0]
             if total == 0:
-                return 0
-        return total
+                return 0, {}
+            parts.append(part)
+        marg = {}
+        for count, comp_marg in parts:
+            scale = total // count
+            for v, m in comp_marg.items():
+                marg[v] = m * scale
+        return total, marg
 
     key = tuple(sorted(clauses))
     cached = run.cache.get(key)
@@ -140,17 +179,26 @@ def _count_over(clauses: tuple, run: _Run) -> int:
             counts[v] = counts.get(v, 0) + 1
     branch_var = max(counts, key=lambda v: (counts[v], -v))
 
-    nvars = len(_vars_of(clauses))
+    nvars = set(counts)
     total = 0
+    marg: dict[int, int] = {}
     for lit in (branch_var, -branch_var):
         reduced = _condition(clauses, {lit})
         if reduced is None:
             continue
-        free = nvars - len(_vars_of(reduced)) - 1
-        total += _count_over(reduced, run) << free
+        free = nvars - _vars_of(reduced)
+        free.discard(branch_var)
+        count, branch_marg = _lift(*_count_marginals(reduced, run), free, (lit,))
+        total += count
+        if marg:
+            for v, m in branch_marg.items():
+                marg[v] = marg.get(v, 0) + m
+        else:
+            marg = branch_marg
 
-    run.cache_put(key, total)
-    return total
+    result = (total, marg)
+    run.cache_put(key, result)
+    return result
 
 
 def _prepared_clauses(formula: CnfFormula) -> tuple:
@@ -158,13 +206,29 @@ def _prepared_clauses(formula: CnfFormula) -> tuple:
     return tuple(tuple(sorted(cl)) for cl in formula.clause_lists())
 
 
+def count_with_marginals(
+    formula: CnfFormula, budget: CountBudget | None = None
+) -> tuple[int, dict[int, int]]:
+    """Exact model count and, for every variable v in 1..num_vars, the number
+    of models that set v true, from one counting pass.
+
+    The budget bounds that single pass. Marginals are exact integers, so
+    marginals[v] == count_conditioned(formula, v) for every v.
+    """
+    clauses = _prepared_clauses(formula)
+    n = formula.num_vars
+    if any(not cl for cl in clauses):
+        return 0, dict.fromkeys(range(1, n + 1), 0)
+    run = _Run(budget or CountBudget())
+    occurring = _vars_of(clauses)
+    free = [v for v in range(1, n + 1) if v not in occurring]
+    total, marg = _lift(*_count_marginals(clauses, run), free, ())
+    return total, {v: marg.get(v, 0) for v in range(1, n + 1)}
+
+
 def count_models(formula: CnfFormula, budget: CountBudget | None = None) -> int:
     """Exact number of total satisfying assignments of the formula."""
-    clauses = _prepared_clauses(formula)
-    run = _Run(budget or CountBudget())
-    core = _count_over(clauses, run)
-    free = formula.num_vars - len(_vars_of(clauses))
-    return core << free
+    return count_with_marginals(formula, budget)[0]
 
 
 def conditioned_formula(formula: CnfFormula, lit: int) -> CnfFormula:

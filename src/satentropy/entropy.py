@@ -12,6 +12,7 @@ from .counter import (
     CountBudget,
     conditioned_formula,
     count_models,
+    count_with_marginals,
     find_model,
 )
 
@@ -104,20 +105,24 @@ def profile_formula(
 ) -> FormulaProfile:
     """Full solution-space profile of a satisfiable formula.
 
-    Issues exactly num_vars + 1 calls to the model counter: one for the
-    unconditioned count, one per variable for the count conditioned on its
-    positive literal.
+    By default every ratio comes from one count_with_marginals pass, and
+    `budget` bounds that single pass. An injected `count_fn` instead gets
+    exactly num_vars + 1 calls: one for the unconditioned count, then one
+    per variable for the count conditioned on its positive literal; `budget`
+    is then unused.
     """
     if count_fn is None:
-        count_fn = lambda f: count_models(f, budget)
-    total = count_fn(formula)
+        total, marginals = count_with_marginals(formula, budget)
+        positive_count = marginals.__getitem__
+    else:
+        total = count_fn(formula)
+        positive_count = lambda v: count_fn(conditioned_formula(formula, v))
     if total == 0:
         raise UnsatisfiableFormula("entropy undefined for unsatisfiable formula")
 
     variables = []
     for v in range(1, formula.num_vars + 1):
-        pos = count_fn(conditioned_formula(formula, v))
-        r = Fraction(pos, total)
+        r = Fraction(positive_count(v), total)
         variables.append(
             VariableProfile(
                 var=v,
@@ -140,24 +145,22 @@ def profile_formula(
 
 
 def backbone(formula: CnfFormula) -> set[int]:
-    """The set of literals true in every solution, via conditioned counts."""
-    total = count_models(formula)
+    """The set of literals true in every solution, read off the one-pass
+    marginals: v is backbone when it is true in all models, -v when in none."""
+    total, marginals = count_with_marginals(formula)
     if total == 0:
         raise UnsatisfiableFormula("backbone undefined for unsatisfiable formula")
-    result = set()
-    for v in range(1, formula.num_vars + 1):
-        pos = count_models(conditioned_formula(formula, v))
-        if pos == total:
-            result.add(v)
-        elif pos == 0:
-            result.add(-v)
-    return result
+    return {
+        v if pos == total else -v
+        for v, pos in marginals.items()
+        if pos in (0, total)
+    }
 
 
 def backbone_size(formula: CnfFormula, abort_above: int | None = None) -> int:
     """Number of backbone variables, via satisfiability probes.
 
-    Cheaper than backbone() because each probe can stop at the first model.
+    Needs no model count: each probe can stop at the first model.
     A literal l is backbone iff formula AND NOT l is unsatisfiable. With
     abort_above set, returns early with abort_above + 1 once exceeded.
     """

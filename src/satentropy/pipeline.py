@@ -9,7 +9,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import stats
@@ -202,15 +202,7 @@ def _solve_formula(args) -> dict:
         totals = []
         for run in range(plan.runs_per_formula):
             seed = _run_seed(plan.seed, formula_id, run)
-            run_cfg = SolverConfig(
-                restart=cfg.restart,
-                deletion=cfg.deletion,
-                decay=cfg.decay,
-                reduce_interval=cfg.reduce_interval,
-                seed=seed,
-                conflict_budget=cfg.conflict_budget,
-            )
-            st = solve(formula, run_cfg)
+            st = solve(formula, replace(cfg, seed=seed))
             totals.append(st.conflicts)
             verdicts.setdefault(label, set()).add(st.result)
         conflicts[label] = sum(totals) / len(totals)

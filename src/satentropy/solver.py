@@ -525,7 +525,8 @@ class _Solver:
                 model = {
                     u: self.value[u] == 1 for u in range(1, self.n + 1)
                 }
-                assert evaluate(self.formula, model), "model failed verification"
+                if not evaluate(self.formula, model):
+                    raise RuntimeError("model failed verification (soundness bug)")
                 return self._stats("SAT", model)
             self.decisions += 1
             self.trail_lim.append(len(self.trail))

@@ -24,6 +24,22 @@ def random_3sat(seed, n, ratio):
     return gen_random_3sat(n, max(1, round(n * ratio)), seed)
 
 
+def criterion_1_corpus():
+    """(seed, formula) for the 500 random 3-SAT formulas of acceptance
+    criterion 1: n = 5..20 over five clause/variable ratios."""
+    ratios = (1, 2, 3, 4.26, 6)
+    for seed in range(500):
+        n = random.Random(seed).randint(5, 20)
+        yield seed, random_3sat(seed, n, ratios[seed % len(ratios)])
+
+
+def criterion_2_corpus():
+    """(seed, formula) for the 60 mixed-length formulas of acceptance
+    criterion 2, with at most 10 variables."""
+    for seed in range(60):
+        yield seed, random_formula(seed, max_vars=10)
+
+
 @pytest.fixture
 def rng():
     return random.Random(12345)

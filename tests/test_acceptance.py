@@ -28,7 +28,7 @@ from satentropy.solver import (
     solve,
 )
 from satentropy.stats import bootstrap, ols, sample_std, standardize
-from conftest import random_formula
+from conftest import criterion_1_corpus, criterion_2_corpus, random_formula
 
 
 def report(num, text):
@@ -53,14 +53,9 @@ def suite(tmp_path_factory):
 
 
 def test_criterion_1_counter_correctness():
-    ratios = [1, 2, 3, 4.26, 6]
     t0 = time.monotonic()
     checked = 0
-    for seed in range(500):
-        rng = random.Random(seed)
-        n = rng.randint(5, 20)
-        ratio = ratios[seed % len(ratios)]
-        f = gen_random_3sat(n, max(1, round(n * ratio)), seed)
+    for seed, f in criterion_1_corpus():
         assert count_models(f) == count_models_bruteforce(f), f"seed {seed}"
         checked += 1
     elapsed = time.monotonic() - t0
@@ -81,8 +76,7 @@ def test_criterion_2_entropy_identities():
     assert abs(variable_entropy(r) - 0.94566) < 1e-4
 
     profiled = 0
-    for seed in range(60):
-        f = random_formula(seed, max_vars=10)
+    for _, f in criterion_2_corpus():
         if count_models(f) == 0:
             continue
         p = profile_formula(f)

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from satentropy.cnf import CnfFormula
+from satentropy.cnf import Clause, CnfFormula
 from satentropy.counter import (
     BudgetExceeded,
     CountBudget,
+    conditioned_formula,
     count_conditioned,
     count_models,
     count_models_bruteforce,
+    count_with_marginals,
     find_model,
 )
-from conftest import random_formula, random_3sat
+from conftest import criterion_1_corpus, criterion_2_corpus, random_formula, random_3sat
 
 
 def test_single_clause():
@@ -112,6 +114,50 @@ def test_node_budget_raises_not_wrong():
     f = random_3sat(3, 16, 4.26)
     with pytest.raises(BudgetExceeded):
         count_models(f, CountBudget(max_nodes=2))
+
+
+def test_empty_clause_counts_zero():
+    f = CnfFormula(2, (Clause(()),))
+    assert count_models(f) == 0
+    assert count_with_marginals(f) == (0, {1: 0, 2: 0})
+
+
+@pytest.mark.parametrize(
+    "corpus", [criterion_1_corpus, criterion_2_corpus], ids=["criterion1", "criterion2"]
+)
+def test_marginals_match_conditioned_counts(corpus):
+    # the one-pass marginals against n separate counts and against brute force
+    for seed, f in corpus():
+        total, marginals = count_with_marginals(f)
+        assert total == count_models_bruteforce(f), seed
+        assert list(marginals) == list(range(1, f.num_vars + 1))
+        for v, pos in marginals.items():
+            assert pos == count_conditioned(f, v), (seed, v)
+            assert pos == count_models_bruteforce(conditioned_formula(f, v)), (seed, v)
+
+
+def test_marginal_of_unconstrained_variable_is_half():
+    f = CnfFormula.from_clause_lists(3, [[1, 2]])
+    assert count_with_marginals(f) == (6, {1: 4, 2: 4, 3: 3})
+
+
+def test_marginals_of_unit_forced_variables():
+    # 1 is a unit; 2 is forced false by propagation through [-1, -2]
+    f = CnfFormula.from_clause_lists(3, [[1], [-1, -2], [2, 3, -1]])
+    assert count_with_marginals(f) == (1, {1: 1, 2: 0, 3: 1})
+
+
+def test_marginals_across_components():
+    # {1,2} has 3 models, {3,4} has 2 and variable 5 is free: 3 * 2 * 2 models
+    f = CnfFormula.from_clause_lists(5, [[1, 2], [3, 4], [-3, -4]])
+    total, marginals = count_with_marginals(f)
+    assert total == 12
+    assert marginals == {1: 8, 2: 8, 3: 6, 4: 6, 5: 6}
+
+
+def test_marginals_of_unsat_formula_are_zero():
+    f = CnfFormula.from_clause_lists(3, [[1, 2], [1, -2], [-1, 3], [-1, -3]])
+    assert count_with_marginals(f) == (0, {1: 0, 2: 0, 3: 0})
 
 
 def test_find_model_returns_verified_model():

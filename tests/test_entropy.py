@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from satentropy.cnf import CnfFormula
-from satentropy.counter import count_conditioned, count_models, count_models_bruteforce
+from satentropy.counter import (
+    BudgetExceeded,
+    CountBudget,
+    count_conditioned,
+    count_models,
+    count_models_bruteforce,
+)
 from satentropy.entropy import (
     FormulaProfile,
     UnsatisfiableFormula,
@@ -14,7 +20,7 @@ from satentropy.entropy import (
     profile_formula,
     variable_entropy,
 )
-from conftest import random_formula
+from conftest import criterion_1_corpus, criterion_2_corpus, random_3sat, random_formula
 
 
 class TestLiteralRatio:
@@ -126,6 +132,26 @@ class TestProfile:
             assert p1.model_count == p2.model_count
             assert abs(p1.entropy - p2.entropy) < 1e-12
             assert abs(p1.density - p2.density) < 1e-12
+
+    @pytest.mark.parametrize(
+        "corpus", [criterion_1_corpus, criterion_2_corpus], ids=["criterion1", "criterion2"]
+    )
+    def test_one_pass_profile_matches_conditioned_counts(self, corpus):
+        # profile sidecars and records.jsonl are compared byte for byte
+        profiled = 0
+        for seed, f in corpus():
+            if count_models(f) == 0:
+                continue
+            one_pass = profile_formula(f).to_dict()
+            assert one_pass == profile_formula(f, count_fn=count_models).to_dict(), seed
+            profiled += 1
+        assert profiled > 0
+
+    def test_budget_bounds_the_counting_pass(self):
+        f = random_3sat(3, 16, 2)
+        assert count_models(f) > 0
+        with pytest.raises(BudgetExceeded):
+            profile_formula(f, budget=CountBudget(max_nodes=2))
 
     def test_backbone_iff_zero_entropy(self):
         for seed in range(30):

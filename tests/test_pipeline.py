@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from satentropy import pipeline
 from satentropy.benchgen import build_suite
 from satentropy.cnf import parse_dimacs
 from satentropy.entropy import profile_formula
+from satentropy.solver import SolverConfig
 from satentropy.pipeline import (
     ExperimentPlan,
     PlotPoint,
@@ -125,6 +127,37 @@ class TestRunExperiment:
             a = (tmp_path / "run1" / name).read_bytes()
             b = (tmp_path / "run2" / name).read_bytes()
             assert a == b, name
+
+    def test_runs_keep_every_config_field_but_the_seed(self, suite_dir, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class TaggedConfig(SolverConfig):
+            tag: str = "extra field"
+
+        plan = make_plan("decay", runs_per_formula=2, seed=5)
+        plan = dataclasses.replace(
+            plan,
+            config_a=TaggedConfig(
+                **{**vars(plan.config_a), "conflict_budget": 777}
+            ),
+        )
+        row = pipeline.load_suite(suite_dir)[0]
+        seen = []
+        real_solve = pipeline.solve
+
+        def recording_solve(formula, cfg):
+            seen.append(cfg)
+            return real_solve(formula, cfg)
+
+        monkeypatch.setattr(pipeline, "solve", recording_solve)
+        pipeline._solve_formula((row["path"], row["formula_id"], plan))
+        expected = [
+            dataclasses.replace(
+                cfg, seed=pipeline._run_seed(plan.seed, row["formula_id"], run)
+            )
+            for cfg in (plan.config_a, plan.config_b)
+            for run in range(2)
+        ]
+        assert seen == expected
 
     def test_parallel_matches_serial(self, suite_dir, tmp_path):
         plan = make_plan("decay", runs_per_formula=1, seed=3)

@@ -144,6 +144,14 @@ class TestSolve:
         assert st.result == "SAT"
         assert st.model[2] is True
 
+    def test_unverified_model_raises(self, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        from satentropy import solver
+
+        monkeypatch.setattr(solver, "evaluate", lambda formula, model: False)
+        with pytest.raises(RuntimeError, match="model failed verification"):
+            solve(CnfFormula.from_clause_lists(2, [[1, 2]]))
+
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.label())
     def test_soundness_all_configs(self, cfg):
         for seed in range(40):
