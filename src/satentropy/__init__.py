@@ -15,7 +15,6 @@ from .entropy import (
     UnsatisfiableFormula,
     VariableProfile,
     backbone,
-    literal_ratio,
     profile_formula,
     variable_entropy,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "UnsatisfiableFormula",
     "VariableProfile",
     "backbone",
-    "literal_ratio",
     "profile_formula",
     "variable_entropy",
     "GlucoseRestarts",

@@ -19,6 +19,7 @@ from pathlib import Path
 from .cnf import Clause, CnfFormula, content_hash, write_dimacs
 from .counter import find_model
 from .entropy import backbone_size, profile_formula
+from .pipeline import write_profile
 
 
 class BackboneSearchExhausted(RuntimeError):
@@ -130,7 +131,6 @@ def build_suite(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "profiles").mkdir(exist_ok=True)
     force_targets = force_targets or set()
 
     rows = []
@@ -159,7 +159,7 @@ def build_suite(
             fid = content_hash(formula)
             fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
             (out / fname).write_text(write_dimacs(formula))
-            _write_profile(out / "profiles" / f"{fid}.json", profile)
+            write_profile(out / "profiles" / f"{fid}.json", profile)
             rows.append(
                 {
                     "file": fname,
@@ -182,8 +182,3 @@ def build_suite(
         writer.writerows(rows)
     return rows
 
-
-def _write_profile(path: Path, profile) -> None:
-    import json
-
-    path.write_text(json.dumps(profile.to_dict(), sort_keys=True, indent=1))

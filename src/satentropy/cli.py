@@ -15,14 +15,7 @@ from . import benchgen, pipeline, stats
 from .cnf import DimacsError, parse_dimacs
 from .counter import BudgetExceeded, CountBudget, count_models
 from .entropy import UnsatisfiableFormula, profile_formula
-from .solver import (
-    GlucoseRestarts,
-    KeepLbdCutAtMost,
-    KeepSizeAtMost,
-    LubyRestarts,
-    SolverConfig,
-    solve,
-)
+from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,27 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_formula(path: str):
     return parse_dimacs(Path(path).read_text())
-
-
-def _parse_restart(spec: str):
-    kind, _, rest = spec.partition(":")
-    if kind == "luby":
-        return LubyRestarts(int(rest) if rest else 100)
-    if kind == "glucose":
-        parts = rest.split(":") if rest else []
-        window = int(parts[0]) if len(parts) > 0 and parts[0] else 50
-        margin = float(parts[1]) if len(parts) > 1 else 0.8
-        return GlucoseRestarts(window, margin)
-    raise ValueError(f"unknown restart policy {spec!r} (use luby:N or glucose:W:M)")
-
-
-def _parse_keep(spec: str):
-    kind, _, rest = spec.partition(":")
-    if kind == "lbd":
-        return KeepLbdCutAtMost(int(rest) if rest else 5)
-    if kind == "size":
-        return KeepSizeAtMost(int(rest) if rest else 12)
-    raise ValueError(f"unknown deletion criterion {spec!r} (use lbd:N or size:N)")
 
 
 def _cmd_count(args) -> int:
@@ -83,8 +55,8 @@ def _cmd_profile(args) -> int:
 def _cmd_solve(args) -> int:
     formula = _read_formula(args.file)
     config = SolverConfig(
-        restart=_parse_restart(args.restart),
-        deletion=_parse_keep(args.keep),
+        restart=pipeline.parse_restart(args.restart),
+        deletion=pipeline.parse_keep(args.keep),
         decay=args.decay,
         reduce_interval=args.reduce_interval,
         seed=args.seed,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class DimacsError(ValueError):
@@ -168,9 +167,3 @@ def content_hash(formula: CnfFormula) -> str:
     """Stable identifier of a formula: sha256 of its canonical DIMACS text."""
     return hashlib.sha256(write_dimacs(formula).encode()).hexdigest()[:16]
 
-
-def iter_dimacs_dir(path: str | Path) -> Iterator[tuple[str, CnfFormula]]:
-    """Yield (filename, formula) for every .cnf file in a directory, sorted."""
-    p = Path(path)
-    for f in sorted(p.glob("*.cnf")):
-        yield f.name, parse_dimacs(f.read_text())

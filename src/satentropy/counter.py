@@ -7,6 +7,9 @@ the variable true; count_models is its count half. count_models_bruteforce
 is an independent truth-table oracle used by the test suite. All count
 total assignments over all declared variables, so a variable that occurs
 in no clause doubles the count.
+
+find_model is the satisfiability probe: it asks the CDCL solver of
+satentropy.solver for one model and counts nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula, Clause
+from .solver import solve
 
 
 class BudgetExceeded(RuntimeError):
@@ -311,52 +315,10 @@ def count_models_bruteforce(formula: CnfFormula) -> int:
 
 
 def find_model(formula: CnfFormula) -> dict[int, bool] | None:
-    """A single satisfying total assignment, or None if unsatisfiable.
+    """A satisfying total assignment, or None if unsatisfiable.
 
-    DPLL with unit propagation and early exit on the first model; cheap
-    satisfiability probe used by backbone extraction and the generator.
+    The model of one CDCL solve under the default SolverConfig, which the
+    solver checks against the formula before returning it; the shared
+    satisfiability probe of backbone extraction and the generator.
     """
-    clauses = _prepared_clauses(formula)
-    if any(len(cl) == 0 for cl in clauses):
-        return None
-    fixed: dict[int, bool] = {}
-
-    def search(cls, assigned: dict[int, bool]):
-        while True:
-            units = {cl[0] for cl in cls if len(cl) == 1}
-            if not units:
-                break
-            if any(-l in units for l in units):
-                return None
-            cls = _condition(cls, units)
-            if cls is None:
-                return None
-            for l in units:
-                assigned[abs(l)] = l > 0
-        if not cls:
-            return assigned
-        counts: dict[int, int] = {}
-        for cl in cls:
-            for l in cl:
-                counts[l] = counts.get(l, 0) + 1
-        lit = max(counts, key=lambda l: (counts[l], -abs(l), l))
-        for choice in (lit, -lit):
-            reduced = _condition(cls, {choice})
-            if reduced is None:
-                continue
-            trial = dict(assigned)
-            trial[abs(choice)] = choice > 0
-            result = search(reduced, trial)
-            if result is not None:
-                return result
-        return None
-
-    result = search(clauses, fixed)
-    if result is None:
-        return None
-    # variables never constrained get an arbitrary (fixed) value
-    return {v: result.get(v, False) for v in range(1, formula.num_vars + 1)}
-
-
-def is_satisfiable(formula: CnfFormula) -> bool:
-    return find_model(formula) is not None
+    return solve(formula).model

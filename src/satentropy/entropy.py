@@ -11,7 +11,6 @@ from .cnf import CnfFormula
 from .counter import (
     CountBudget,
     conditioned_formula,
-    count_models,
     count_with_marginals,
     find_model,
 )
@@ -78,13 +77,6 @@ class FormulaProfile:
             backbone_count=d["backbone_count"],
             variables=variables,
         )
-
-
-def literal_ratio(formula: CnfFormula, var: int, total: int) -> Fraction:
-    """Fraction of solutions that set `var` true, as an exact rational."""
-    if total <= 0:
-        raise UnsatisfiableFormula("entropy undefined for unsatisfiable formula")
-    return Fraction(count_models(conditioned_formula(formula, var)), total)
 
 
 def variable_entropy(r) -> float:
@@ -158,21 +150,30 @@ def backbone(formula: CnfFormula) -> set[int]:
 
 
 def backbone_size(formula: CnfFormula, abort_above: int | None = None) -> int:
-    """Number of backbone variables, via satisfiability probes.
+    """Number of backbone variables, via satisfiability probes with model
+    filtering (Janota, Lynce & Marques-Silva, AI Communications 2015).
 
-    Needs no model count: each probe can stop at the first model.
-    A literal l is backbone iff formula AND NOT l is unsatisfiable. With
-    abort_above set, returns early with abort_above + 1 once exceeded.
+    Needs no model count. Only a polarity that every model seen so far
+    agrees on can be backbone, so a variable is probed only while it is
+    still a candidate: its literal l is backbone iff formula AND NOT l is
+    unsatisfiable, and each satisfiable probe's model drops every candidate
+    whose polarity it flips. Variables are decided in increasing order, so
+    with abort_above set the call returns abort_above + 1 as soon as the
+    count exceeds it.
     """
-    model = find_model(formula)
-    if model is None:
+    candidates = find_model(formula)
+    if candidates is None:
         raise UnsatisfiableFormula("backbone undefined for unsatisfiable formula")
     count = 0
     for v in range(1, formula.num_vars + 1):
-        # only the polarity seen in the model can be backbone
-        lit = v if model[v] else -v
-        if find_model(conditioned_formula(formula, -lit)) is None:
+        if v not in candidates:
+            continue
+        lit = v if candidates[v] else -v
+        model = find_model(conditioned_formula(formula, -lit))
+        if model is None:
             count += 1
             if abort_above is not None and count > abort_above:
                 return count
+        else:
+            candidates = {u: b for u, b in candidates.items() if model[u] == b}
     return count

@@ -48,14 +48,35 @@ class ExperimentPlan:
 CACHE_DIR_ENV = "SATENTROPY_CACHE_DIR"
 
 
+def parse_restart(spec: str):
+    """Restart policy from luby:N or glucose:W:M; ValueError otherwise."""
+    kind, _, rest = spec.partition(":")
+    if kind == "luby":
+        return LubyRestarts(int(rest) if rest else 100)
+    if kind == "glucose":
+        parts = rest.split(":") if rest else []
+        window = int(parts[0]) if len(parts) > 0 and parts[0] else 50
+        margin = float(parts[1]) if len(parts) > 1 else 0.8
+        return GlucoseRestarts(window, margin)
+    raise ValueError(f"unknown restart policy {spec!r} (use luby:N or glucose:W:M)")
+
+
+def parse_keep(spec: str):
+    """Deletion criterion from lbd:N or size:N; ValueError otherwise."""
+    kind, _, rest = spec.partition(":")
+    if kind == "lbd":
+        return KeepLbdCutAtMost(int(rest) if rest else 5)
+    if kind == "size":
+        return KeepSizeAtMost(int(rest) if rest else 12)
+    raise ValueError(f"unknown deletion criterion {spec!r} (use lbd:N or size:N)")
+
+
 def load_solver_defaults(path: str | Path) -> dict:
     """Plain key=value config file for solver defaults.
 
     Recognized keys: restart (luby:N or glucose:W:M), keep (lbd:N or
     size:N), decay, reduce_interval. Blank lines and #-comments ignored.
     """
-    from .cli import _parse_keep, _parse_restart
-
     overrides: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -66,9 +87,9 @@ def load_solver_defaults(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
         if key == "restart":
-            overrides["restart"] = _parse_restart(value)
+            overrides["restart"] = parse_restart(value)
         elif key == "keep":
-            overrides["deletion"] = _parse_keep(value)
+            overrides["deletion"] = parse_keep(value)
         elif key == "decay":
             overrides["decay"] = float(value)
         elif key == "reduce_interval":
@@ -166,6 +187,12 @@ def load_profile(suite_dir: str | Path, formula_id: str) -> FormulaProfile | Non
     return FormulaProfile.from_dict(json.loads(p.read_text()))
 
 
+def write_profile(path: Path, profile: FormulaProfile) -> None:
+    """Write a profile sidecar in the form load_profile reads back."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(profile.to_dict(), sort_keys=True, indent=1))
+
+
 def ensure_profile(
     suite_dir: str | Path, formula_id: str, formula: CnfFormula
 ) -> FormulaProfile:
@@ -174,11 +201,7 @@ def ensure_profile(
     if cached is not None:
         return cached
     profile = profile_formula(formula)
-    pdir = _profile_dir(suite_dir)
-    pdir.mkdir(parents=True, exist_ok=True)
-    (pdir / f"{formula_id}.json").write_text(
-        json.dumps(profile.to_dict(), sort_keys=True, indent=1)
-    )
+    write_profile(_profile_dir(suite_dir) / f"{formula_id}.json", profile)
     return profile
 
 

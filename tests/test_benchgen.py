@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -11,7 +12,7 @@ from satentropy.benchgen import (
     tuned_clause_counts,
 )
 from satentropy.cnf import parse_dimacs
-from satentropy.counter import count_models, is_satisfiable
+from satentropy.counter import count_models, find_model
 from satentropy.entropy import profile_formula
 
 
@@ -38,7 +39,8 @@ class TestRandom3Sat:
 
     def test_phase_transition_mixes_sat_unsat(self):
         sat = sum(
-            is_satisfiable(gen_random_3sat(20, 85, seed)) for seed in range(60)
+            find_model(gen_random_3sat(20, 85, seed)) is not None
+            for seed in range(60)
         )
         assert 0 < sat < 60
 
@@ -75,6 +77,14 @@ def test_tuned_clause_counts_monotone():
     counts = tuned_clause_counts(20, [2, 6, 10, 14, 18])
     vals = [counts[t] for t in (2, 6, 10, 14, 18)]
     assert vals == sorted(vals)
+
+
+# sha256 of the TestSuite suite: each row's DIMACS bytes and its file, seed,
+# backbone, attempts and model_count columns (the float columns are left out
+# so the digest does not depend on libm). Recorded from the generator as it
+# was before backbone probing moved to the CDCL solver: acceptance depends
+# only on backbone size, so unforced suites must not change with the engine.
+UNFORCED_SUITE_SHA256 = "b3fe032d31a6ff47efb5b5e089e6aba969e6f022be8dcce0fdec709825bc604c"
 
 
 class TestSuite:
@@ -124,6 +134,16 @@ class TestSuite:
             sum(v) / len(v) for _, v in sorted(by_target.items())
         ]
         assert means[0] > means[1] > means[2]
+
+    def test_unforced_suite_is_golden(self, suite):
+        out, _ = suite
+        h = hashlib.sha256()
+        with (out / "manifest.csv").open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                h.update((out / row["file"]).read_bytes())
+                cols = ("file", "seed", "backbone", "attempts", "model_count")
+                h.update(",".join(row[c] for c in cols).encode() + b"\n")
+        assert h.hexdigest() == UNFORCED_SUITE_SHA256
 
     def test_profiles_persisted(self, suite):
         out, rows = suite

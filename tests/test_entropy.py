@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from satentropy.cnf import CnfFormula
 from satentropy.counter import (
     BudgetExceeded,
     CountBudget,
-    count_conditioned,
     count_models,
     count_models_bruteforce,
 )
@@ -16,41 +16,10 @@ from satentropy.entropy import (
     UnsatisfiableFormula,
     backbone,
     backbone_size,
-    literal_ratio,
     profile_formula,
     variable_entropy,
 )
 from conftest import criterion_1_corpus, criterion_2_corpus, random_3sat, random_formula
-
-
-class TestLiteralRatio:
-    def test_two_of_three(self):
-        f = CnfFormula.from_clause_lists(2, [[1, 2]])
-        assert literal_ratio(f, 1, count_models(f)) == Fraction(2, 3)
-
-    def test_backbone_literal(self):
-        f = CnfFormula.from_clause_lists(1, [[1]])
-        assert literal_ratio(f, 1, count_models(f)) == 1
-
-    def test_unconstrained_is_half(self):
-        f = CnfFormula(3, ())
-        assert literal_ratio(f, 2, count_models(f)) == Fraction(1, 2)
-
-    def test_unsat_rejected(self):
-        f = CnfFormula.from_clause_lists(1, [[1], [-1]])
-        with pytest.raises(UnsatisfiableFormula):
-            literal_ratio(f, 1, 0)
-
-    def test_complement_sums_to_one(self):
-        for seed in range(20):
-            f = random_formula(seed, max_vars=8)
-            total = count_models(f)
-            if total == 0:
-                continue
-            for v in range(1, f.num_vars + 1):
-                r = literal_ratio(f, v, total)
-                rbar = Fraction(count_conditioned(f, -v), total)
-                assert r + rbar == 1
 
 
 class TestVariableEntropy:
@@ -202,15 +171,19 @@ class TestBackbone:
 
     def test_unsat_rejected(self):
         f = CnfFormula.from_clause_lists(1, [[1], [-1]])
-        with pytest.raises(UnsatisfiableFormula):
-            backbone(f)
+        for fn in (backbone, backbone_size):
+            with pytest.raises(UnsatisfiableFormula):
+                fn(f)
 
     def test_fast_size_agrees_with_counted_backbone(self):
-        for seed in range(30):
-            f = random_formula(seed, max_vars=9)
+        corpora = (criterion_1_corpus(), criterion_2_corpus())
+        for seed, f in itertools.chain(*corpora):
             if count_models(f) == 0:
                 continue
-            assert backbone_size(f) == len(backbone(f))
+            size = len(backbone(f))
+            assert backbone_size(f) == size, seed
+            for k in range(size):
+                assert backbone_size(f, abort_above=k) == min(size, k + 1), seed
 
     def test_size_abort_early(self):
         f = CnfFormula.from_clause_lists(3, [[1], [2], [3]])
