@@ -292,6 +292,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DimacsError, UnsatisfiableFormula, ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as e:
+        # anything else is a runtime error too: one line, no traceback
+        print(f"error: unexpected {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

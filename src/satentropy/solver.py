@@ -6,11 +6,22 @@ and exponential VSIDS. The three knobs under study are pluggable: restart
 policy (Luby vs dynamic LBD-based), learned clause deletion criterion
 (LBD-cut vs size) and the VSIDS decay factor. Its primary observable output
 is the number of conflicts.
+
+Assignments and watches are literal-indexed, as in MiniSat (Een & Sorensson,
+"An extensible SAT-solver", SAT 2003): `value` and `watches` are flat lists
+of length 2n + 1 where literal l lives at index l, so -v lands in the upper
+half by Python's negative indexing and `value[lit]` is the literal's truth
+value. Propagation keeps its state in locals, backjumping cuts the trail at
+a level boundary in one slice, and the restart checks keep running totals.
+None of this is allowed to change the search: watch lists keep their order
+and their swap-with-last removal, and a golden corpus in the tests pins
+`SolveStats` for fixed (formula, config, seed) triples.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
@@ -150,7 +161,9 @@ def luby(i: int) -> int:
 
 
 def compute_lbd(lits: Iterable[int], level_of: Callable[[int], int]) -> int:
-    """Number of distinct decision levels among the clause's literals."""
+    """Number of distinct decision levels among the clause's literals.
+
+    The solver computes the same count inline from its level list."""
     levels = set()
     for l in lits:
         lvl = level_of(abs(l))
@@ -164,7 +177,7 @@ def glucose_restart_due(
     recent_lbds: Iterable[int], window: int, global_lbd_mean: float, margin: float
 ) -> bool:
     """True iff the recent-LBD window is full and its scaled mean exceeds
-    the global mean."""
+    the global mean. The solver applies this rule to a running window sum."""
     recent = list(recent_lbds)
     if len(recent) < window:
         return False
@@ -226,7 +239,9 @@ class _Solver:
         self.n = formula.num_vars
         self.rng = random.Random(config.seed)
 
-        self.value = [_UNASSIGNED] * (self.n + 1)  # 0/1/_UNASSIGNED
+        # value[lit] is 1/0/_UNASSIGNED for either polarity: v at slot v,
+        # -v at slot 2n + 1 - v by negative indexing
+        self.value = [_UNASSIGNED] * (2 * self.n + 1)
         self.level = [0] * (self.n + 1)
         self.reason: list[list[int] | None] = [None] * (self.n + 1)
         self.reason_meta: list[LearnedClauseMeta | None] = [None] * (self.n + 1)
@@ -238,9 +253,9 @@ class _Solver:
         self.var_inc = 1.0
         self.saved_phase = [bool(self.rng.getrandbits(1)) for _ in range(self.n + 1)]
 
-        # watches: literal -> list of clause records; a record is
-        # (lits, meta) with meta None for problem clauses
-        self.watches: dict[int, list] = {}
+        # watches[lit]: clause records watching lit, indexed like value; a
+        # record is (lits, meta) with meta None for problem clauses
+        self.watches: list[list] = []
         self.learned: list[LearnedClauseMeta] = []
 
         self.conflicts = 0
@@ -250,8 +265,11 @@ class _Solver:
         self.learned_deleted_total = 0
 
         self.luby_index = 1
+        self.luby_limit = self.current_luby_limit()
         self.conflicts_since_restart = 0
-        self.recent_lbds: list[int] = []
+        # glucose only: the LBDs of the last `window` conflicts and their sum
+        self.recent_lbds: deque[int] = deque()
+        self.recent_lbd_sum = 0
         self.lbd_sum = 0
         self.lbd_count = 0
         self.conflicts_since_reduce = 0
@@ -269,22 +287,17 @@ class _Solver:
 
     # ---- assignment plumbing
 
-    def lit_value(self, lit: int) -> int:
-        v = self.value[abs(lit)]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return v if lit > 0 else 1 - v
-
     def current_level(self) -> int:
         return len(self.trail_lim)
 
     def enqueue(self, lit: int, reason=None, meta=None) -> bool:
-        v = abs(lit)
-        val = self.lit_value(lit)
+        val = self.value[lit]
         if val == 0:
             return False
         if val == _UNASSIGNED:
-            self.value[v] = 1 if lit > 0 else 0
+            v = abs(lit)
+            self.value[lit] = 1
+            self.value[-lit] = 0
             self.level[v] = self.current_level()
             self.reason[v] = reason
             self.reason_meta[v] = meta
@@ -293,11 +306,11 @@ class _Solver:
 
     def watch(self, lits: list[int], meta):
         rec = (lits, meta)
-        self.watches.setdefault(lits[0], []).append(rec)
-        self.watches.setdefault(lits[1], []).append(rec)
+        self.watches[lits[0]].append(rec)
+        self.watches[lits[1]].append(rec)
 
     def attach_all(self):
-        self.watches = {}
+        self.watches = [[] for _ in range(2 * self.n + 1)]
         for lits in self.clauses:
             self.watch(lits, None)
         for meta in self.learned:
@@ -307,41 +320,63 @@ class _Solver:
 
     def propagate(self):
         """Exhaustive unit propagation; returns a conflicting record or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            falsified = -lit
-            watchlist = self.watches.get(falsified, [])
-            i = 0
-            while i < len(watchlist):
+        trail = self.trail
+        value = self.value
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        reason_meta = self.reason_meta
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        conflict = None
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchlist = watches[falsified]
+            # only the swap-with-last removal below changes this list's length
+            i, end = 0, len(watchlist)
+            while i < end:
                 rec = watchlist[i]
-                lits, meta = rec
+                lits = rec[0]
                 # normalize: falsified literal at position 1
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self.lit_value(first) == 1:
+                if first == falsified:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = falsified
+                if value[first] == 1:
                     i += 1
                     continue
                 # look for a replacement watch
-                moved = False
                 for j in range(2, len(lits)):
-                    if self.lit_value(lits[j]) != 0:
-                        lits[1], lits[j] = lits[j], lits[1]
-                        self.watches.setdefault(lits[1], []).append(rec)
-                        watchlist[i] = watchlist[-1]
+                    other = lits[j]
+                    if value[other] != 0:
+                        lits[j] = lits[1]
+                        lits[1] = other
+                        watches[other].append(rec)
+                        end -= 1
+                        watchlist[i] = watchlist[end]
                         watchlist.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # unit or conflicting
-                if self.lit_value(first) == 0:
-                    return rec
-                self.enqueue(first, lits, meta)
-                i += 1
-        return None
+                else:
+                    # unit or conflicting
+                    if value[first] == 0:
+                        conflict = rec
+                        break
+                    v = first if first > 0 else -first
+                    value[first] = 1
+                    value[-first] = 0
+                    level[v] = cur_level
+                    reason[v] = lits
+                    reason_meta[v] = rec[1]
+                    trail.append(first)
+                    i += 1
+            if conflict is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return conflict
 
     # ---- VSIDS
 
@@ -356,13 +391,15 @@ class _Solver:
         self.var_inc /= self.config.decay
 
     def pick_branch_var(self) -> int | None:
+        value = self.value
+        activity = self.activity
         best_v = None
         best_a = -1.0
         ties = 0
         for v in range(1, self.n + 1):
-            if self.value[v] != _UNASSIGNED:
+            if value[v] != _UNASSIGNED:
                 continue
-            a = self.activity[v]
+            a = activity[v]
             if a > best_a:
                 best_v, best_a, ties = v, a, 1
             elif a == best_a:
@@ -376,33 +413,35 @@ class _Solver:
 
     def analyze(self, conflict_rec) -> tuple[list[int], int, int]:
         """Learn a first-UIP clause; returns (clause, backjump level, lbd)."""
+        level = self.level
+        trail = self.trail
         learned: list[int] = [0]  # slot 0 for the asserting literal
         seen = [False] * (self.n + 1)
         counter = 0
         lits, meta = conflict_rec
-        trail_idx = len(self.trail) - 1
+        trail_idx = len(trail) - 1
         asserting = None
         cur_level = self.current_level()
 
         while True:
             if meta is not None:
                 meta.activity += 1.0
-                meta.update_lbd(compute_lbd(meta.lits, lambda v: self.level[v]))
+                meta.update_lbd(len({level[abs(l)] for l in meta.lits}))
             for l in lits:
                 if l == asserting:
                     continue
                 v = abs(l)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self.bump_var(v)
-                    if self.level[v] == cur_level:
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learned.append(l)
             # walk back to the next marked trail literal
-            while not seen[abs(self.trail[trail_idx])]:
+            while not seen[abs(trail[trail_idx])]:
                 trail_idx -= 1
-            p = self.trail[trail_idx]
+            p = trail[trail_idx]
             trail_idx -= 1
             seen[abs(p)] = False
             counter -= 1
@@ -417,41 +456,67 @@ class _Solver:
         if len(learned) == 1:
             bj = 0
         else:
-            bj = max(self.level[abs(l)] for l in learned[1:])
-        lbd = compute_lbd(learned, lambda v: self.level[v])
+            bj = max(level[abs(l)] for l in learned[1:])
+        lbd = len({level[abs(l)] for l in learned})
         return learned, bj, lbd
 
     def backjump(self, target_level: int):
-        while self.trail and self.level[abs(self.trail[-1])] > target_level:
-            lit = self.trail.pop()
-            v = abs(lit)
-            self.saved_phase[v] = self.value[v] == 1
-            self.value[v] = _UNASSIGNED
-            self.reason[v] = None
-            self.reason_meta[v] = None
-        del self.trail_lim[target_level:]
+        # levels never decrease along the trail, so everything above
+        # target_level starts at that level's trail_lim entry
+        if target_level < len(self.trail_lim):
+            cut = self.trail_lim[target_level]
+            value = self.value
+            for lit in self.trail[cut:]:
+                v = abs(lit)
+                self.saved_phase[v] = lit > 0
+                value[lit] = value[-lit] = _UNASSIGNED
+                self.reason[v] = None
+                self.reason_meta[v] = None
+            del self.trail[cut:]
+            del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
     # ---- restarts
 
+    def current_luby_limit(self) -> int:
+        r = self.config.restart
+        if isinstance(r, LubyRestarts):
+            return luby(self.luby_index) * r.base_interval
+        return 0
+
     def restart_due(self) -> bool:
         r = self.config.restart
         if isinstance(r, LubyRestarts):
-            return self.conflicts_since_restart >= luby(self.luby_index) * r.base_interval
-        return glucose_restart_due(
-            self.recent_lbds, r.window, self.global_lbd_mean(), r.margin
-        )
+            return self.conflicts_since_restart >= self.luby_limit
+        # glucose_restart_due on a running sum: an exact integer, so the
+        # window mean is the same float
+        recent = len(self.recent_lbds)
+        if recent < r.window:
+            return False
+        return (self.recent_lbd_sum / recent) * r.margin > self.global_lbd_mean()
 
     def global_lbd_mean(self) -> float:
         return self.lbd_sum / self.lbd_count if self.lbd_count else 0.0
+
+    def record_lbd(self, lbd: int):
+        self.lbd_sum += lbd
+        self.lbd_count += 1
+        r = self.config.restart
+        if isinstance(r, GlucoseRestarts):
+            self.recent_lbds.append(lbd)
+            self.recent_lbd_sum += lbd
+            if len(self.recent_lbds) > r.window:
+                self.recent_lbd_sum -= self.recent_lbds.popleft()
 
     def do_restart(self):
         self.backjump(0)
         self.restart_count += 1
         self.conflicts_since_restart = 0
         self.recent_lbds.clear()
+        self.recent_lbd_sum = 0
         if isinstance(self.config.restart, LubyRestarts):
             self.luby_index += 1
+            self.luby_limit = self.current_luby_limit()
 
     # ---- database reduction
 
@@ -490,12 +555,7 @@ class _Solver:
                     return self._stats("UNSAT", None)
                 learned, bj, lbd = self.analyze(conflict)
                 self.backjump(bj)
-                self.lbd_sum += lbd
-                self.lbd_count += 1
-                self.recent_lbds.append(lbd)
-                r = self.config.restart
-                if isinstance(r, GlucoseRestarts) and len(self.recent_lbds) > r.window:
-                    self.recent_lbds.pop(0)
+                self.record_lbd(lbd)
                 if len(learned) == 1:
                     self.enqueue(learned[0], None, None)
                 else:

@@ -257,3 +257,35 @@ class TestGenAndExperiment:
         )
         assert code == EXIT_ERROR
         assert "unknown key" in capsys.readouterr().err
+
+    def test_report_after_config_run_is_runtime_error(self, tmp_path, capsys):
+        # the records carry the config file's labels, which report does not
+        # know; that must end in exit 2 with one error line, not a traceback
+        suite = tmp_path / "suite"
+        gen = ["gen", "--vars", "10", "--backbones", "2,4", "--per-bucket", "2"]
+        gen += ["--seed", "3", "--out", str(suite), "--tune-clauses"]
+        assert main(gen) == EXIT_OK
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("restart = glucose:50:0.8\n")
+        res = str(tmp_path / "res")
+        run = ["experiment", "run", "--plan", "decay", "--suite", str(suite)]
+        run += ["--out", res, "--config", str(cfg), "--k", "20"]
+        assert main(run + ["--runs-per-formula", "1"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["experiment", "report", "--in", res, "--plan", "decay"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "KeyError" in err and "Traceback" not in err
+
+
+def test_unexpected_exception_is_runtime_error(sat_file, capsys, monkeypatch):
+    from satentropy import cli
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "solve", boom)
+    assert main(["solve", sat_file]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: unexpected ZeroDivisionError: division by zero\n"

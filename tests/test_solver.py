@@ -1,8 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from satentropy.cnf import CnfFormula, evaluate
+from satentropy.cnf import CnfFormula, content_hash, evaluate
 from satentropy.counter import count_models_bruteforce
 from satentropy.solver import (
     GlucoseRestarts,
@@ -15,6 +17,8 @@ from satentropy.solver import (
     glucose_restart_due,
     luby,
     reduce_database,
+    _UNASSIGNED,
+    _Solver,
     solve,
 )
 from conftest import random_3sat, random_formula
@@ -83,6 +87,38 @@ class TestGlucoseTrigger:
 
     def test_window_not_full(self):
         assert not glucose_restart_due([9, 9], 3, 1.0, 0.8)
+
+    def test_solver_running_sum_matches_helper(self):
+        # the solver keeps a running window sum; the helper is the reference
+        rng = random.Random(4)
+        f = random_3sat(1, 10, 3)
+        for window, margin in ((1, 0.8), (5, 0.8), (7, 1.3)):
+            s = _Solver(f, SolverConfig(restart=GlucoseRestarts(window, margin)))
+            history, recent = [], []
+            for step in range(400):
+                if rng.random() < 0.05:
+                    s.do_restart()
+                    recent.clear()
+                lbd = rng.randint(1, 12)
+                s.record_lbd(lbd)
+                history.append(lbd)
+                recent = (recent + [lbd])[-window:]
+                mean = sum(history) / len(history)
+                expected = glucose_restart_due(recent, window, mean, margin)
+                assert s.restart_due() == expected, (window, step)
+
+
+class TestLubyRestartLimit:
+    def test_limit_follows_sequence_across_restarts(self):
+        f = random_3sat(1, 10, 3)
+        s = _Solver(f, SolverConfig(restart=LubyRestarts(7)))
+        for i in range(1, 40):
+            limit = luby(i) * 7
+            s.conflicts_since_restart = limit - 1
+            assert not s.restart_due()
+            s.conflicts_since_restart = limit
+            assert s.restart_due()
+            s.do_restart()
 
 
 class TestReduceDatabase:
@@ -217,8 +253,6 @@ class TestVsidsInvariance:
     def test_decay_preserves_relative_order(self):
         # exponential VSIDS: decaying by growing the increment rescales all
         # activities uniformly, so untouched variables keep their order
-        from satentropy.solver import _Solver
-
         f = random_3sat(2, 20, 4.26)
         s = _Solver(f, SolverConfig(seed=1))
         s.activity[3] = 5.0
@@ -228,3 +262,140 @@ class TestVsidsInvariance:
         s.bump_var(11)
         after = s.activity[3] > s.activity[7]
         assert before == after
+
+
+class TestValueLayout:
+    def check_complementary(self, s):
+        for v in range(1, s.n + 1):
+            pos, neg = s.value[v], s.value[-v]
+            if pos == _UNASSIGNED:
+                assert neg == _UNASSIGNED, v
+            else:
+                assert {pos, neg} == {0, 1}, v
+        assert len(s.value) == 2 * s.n + 1
+
+    def test_both_polarities_after_solve_and_backjump(self):
+        checked = 0
+        for seed in range(12):
+            f = random_3sat(300 + seed, 30, (3, 4.26, 6)[seed % 3])
+            s = _Solver(f, SolverConfig(seed=seed, reduce_interval=10))
+            st = s.solve()
+            self.check_complementary(s)
+            assigned = {abs(l) for l in s.trail}
+            for v in range(1, s.n + 1):
+                assert (s.value[v] != _UNASSIGNED) == (v in assigned)
+            if st.result == "SAT":
+                assert len(assigned) == s.n
+            s.backjump(0)
+            self.check_complementary(s)
+            assert s.trail_lim == [] and s.qhead == len(s.trail)
+            for lit in s.trail:
+                assert s.level[abs(lit)] == 0
+                assert s.value[lit] == 1 and s.value[-lit] == 0
+            checked += st.result == "SAT"
+        assert checked > 0
+
+
+# ------------------------------------------------- golden SolveStats corpus
+
+GOLDEN_PATH = Path(__file__).with_name("golden_solve_stats.json")
+
+
+def _mixed_length(seed, n, ratio):
+    """`ratio * n` clauses: two units, then 2 to 5 literals each."""
+    rng = random.Random(seed)
+    clauses = []
+    for i in range(round(n * ratio)):
+        k = 1 if i < 2 else rng.choice((2, 3, 3, 4, 5))
+        vs = rng.sample(range(1, n + 1), k)
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return CnfFormula.from_clause_lists(n, clauses)
+
+
+def golden_formulas():
+    """(name, formula): 3-SAT at n = 20..80 over ratios 3, 4.26 and 6, and
+    mixed clause lengths; SAT and UNSAT, up to a few hundred conflicts."""
+    shapes = [
+        (20, 3), (50, 3), (80, 3),
+        (20, 4.26), (40, 4.26), (60, 4.26), (70, 4.26), (80, 4.26),
+        (20, 6), (40, 6), (60, 6),
+    ]
+    for i, (n, ratio) in enumerate(shapes):
+        yield f"3sat-n{n}-r{ratio}-s{7000 + i}", random_3sat(7000 + i, n, ratio)
+    for seed, n, ratio in ((1, 40, 3), (2, 60, 4), (3, 60, 4)):
+        yield f"mixed-n{n}-r{ratio}-s{seed}", _mixed_length(seed, n, ratio)
+
+
+def golden_configs(seed):
+    """The 8 criterion-4 heuristic configs with reduce_interval=10, so
+    reduce_learned and its full re-propagation fire; the default config;
+    two configs that restart and delete often; and a conflict budget."""
+    base = dict(reduce_interval=10, seed=seed)
+    configs = [
+        SolverConfig(restart=r, deletion=d, decay=dc, **base)
+        for r in (LubyRestarts(100), GlucoseRestarts(50, 0.8))
+        for d in (KeepLbdCutAtMost(5), KeepSizeAtMost(12))
+        for dc in (0.95, 0.6)
+    ]
+    configs += [
+        SolverConfig(seed=seed),
+        SolverConfig(restart=LubyRestarts(2), deletion=KeepSizeAtMost(1), **base),
+        SolverConfig(
+            restart=GlucoseRestarts(5, 1.25), deletion=KeepLbdCutAtMost(1),
+            decay=0.8, **base
+        ),
+        SolverConfig(conflict_budget=25, **base),
+    ]
+    return configs
+
+
+def _config_id(cfg):
+    budget = f"|budget:{cfg.conflict_budget}" if cfg.conflict_budget else ""
+    return f"{cfg.label()}|reduce:{cfg.reduce_interval}|seed:{cfg.seed}{budget}"
+
+
+def golden_cases():
+    """One record per (formula, config) with the full SolveStats dict."""
+    for i, (name, f) in enumerate(golden_formulas()):
+        for cfg in golden_configs(seed=i):
+            yield {
+                "formula": name,
+                "formula_hash": content_hash(f),
+                "config": _config_id(cfg),
+                "stats": solve(f, cfg).to_dict(),
+            }
+
+
+class TestGoldenStats:
+    """Search trajectories are pinned: any change to propagation order,
+    branching, restarts or deletion shows up as a changed SolveStats."""
+
+    def test_solve_stats_match_golden_corpus(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        actual = list(golden_cases())
+        assert len(actual) == len(golden)
+        for got, want in zip(actual, golden):
+            assert got == want, (want["formula"], want["config"])
+
+    def test_corpus_covers_the_heuristics(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        stats = [case["stats"] for case in golden]
+        results = {s["result"] for s in stats}
+        assert results == {"SAT", "UNSAT", "BUDGET"}
+        assert sum(s["learned_deleted"] for s in stats) > 0
+        for policy in ("luby:", "glucose:"):
+            assert any(
+                s["restarts"] > 0
+                for case, s in zip(golden, stats)
+                if case["config"].startswith(policy)
+            ), policy
+
+
+if __name__ == "__main__":
+    # Re-record the golden corpus (only after a deliberate change of the
+    # search): PYTHONPATH=src python tests/test_solver.py
+    cases = list(golden_cases())
+    GOLDEN_PATH.write_text(
+        "[\n" + ",\n".join(json.dumps(c, sort_keys=True) for c in cases) + "\n]\n"
+    )
+    print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")
