@@ -7,11 +7,12 @@ Exit codes: 0 ok/SAT, 20 UNSAT (or model count 0), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
-from . import benchgen, pipeline, stats
+from . import benchgen, pipeline
 from .cnf import DimacsError, parse_dimacs
 from .counter import BudgetExceeded, CountBudget, count_models
 from .entropy import UnsatisfiableFormula, profile_formula
@@ -127,67 +128,26 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import csv as _csv
-
     with open(args.file, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     if not rows:
         raise ValueError("empty results file")
-    col_a, col_b = args.col_a, args.col_b
-    out_rows = []
-    for title, measure in (("Entropy", "entropy"), ("Density", "density")):
-        ms = [float(r[measure]) for r in rows]
-        ca = [float(r[col_a]) for r in rows]
-        if args.test == "beta-gap":
-            ds = [float(r["density"]) for r in rows]
-            res = stats.beta_gap_entropy_vs_density(
-                [float(r["entropy"]) for r in rows], ds, ca, k=args.k, seed=args.seed
+    needed = ["entropy", "density", args.col_a]
+    if args.test != "beta-gap":
+        needed.append(args.col_b)
+    for name in needed:
+        if name not in reader.fieldnames:
+            raise ValueError(
+                f"{args.file} has no column {name!r} (columns: "
+                f"{', '.join(reader.fieldnames)}); name the conflict columns "
+                "with --col-a/--col-b"
             )
-            out_rows.append(
-                {
-                    "measure": "Entropy-vs-Density",
-                    "conf_interval": pipeline._fmt_ci(res.gap_ci95),
-                    "p_val": pipeline._fmt_p(res.gap_p),
-                }
-            )
-            break
-        cb = [float(r[col_b]) for r in rows]
-        if args.test == "delta":
-            res = stats.delta_test(ms, ca, cb)
-            out_rows.append(
-                {
-                    "measure": title,
-                    "conf_interval": pipeline._fmt_ci(res.ci95),
-                    "p_val": pipeline._fmt_p(res.p_two_sided),
-                }
-            )
-        else:  # delta-beta
-            res = stats.delta_beta_test(ms, ca, cb, k=args.k, seed=args.seed)
-            out_rows.append(
-                {
-                    "measure": title,
-                    "conf_interval": pipeline._fmt_ci(res.gap_ci95),
-                    "p_val": pipeline._fmt_p(res.gap_p),
-                }
-            )
-    writer = None
-    import io
-
-    buf = io.StringIO()
-    writer = _csv.DictWriter(buf, fieldnames=list(out_rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(out_rows)
-    sys.stdout.write(buf.getvalue())
-    widths = {
-        c: max(len(c), *(len(str(r[c])) for r in out_rows))
-        for c in out_rows[0]
-    }
-    for line in [
-        "  ".join(c.ljust(widths[c]) for c in out_rows[0])
-    ] + [
-        "  ".join(str(r[c]).ljust(widths[c]) for c in r) for r in out_rows
-    ]:
-        print(line, file=sys.stderr)
+    table = pipeline.analysis_table(
+        rows, args.test, args.col_a, args.col_b, args.k, args.seed
+    )
+    sys.stdout.write(pipeline.csv_text(table))
+    sys.stderr.write(pipeline.aligned_text(table))
     return EXIT_OK
 
 
@@ -203,7 +163,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("profile", help="entropy/density/backbone profile")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("solve", help="run the CDCL solver")
@@ -240,11 +199,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run or re-report an experiment")
     psub = p.add_subparsers(dest="action", required=True)
     pr = psub.add_parser("run")
-    pr.add_argument(
-        "--plan",
-        required=True,
-        choices=["deletion", "lbdcut", "restarts", "decay", "hardness"],
-    )
+    pr.add_argument("--plan", required=True, choices=pipeline.PLAN_NAMES)
     pr.add_argument("--suite", required=True)
     pr.add_argument("--out", required=True)
     pr.add_argument("--jobs", type=int, default=1)
@@ -260,11 +215,7 @@ def build_parser() -> _Parser:
     pr.set_defaults(func=_cmd_experiment)
     pp = psub.add_parser("report")
     pp.add_argument("--in", dest="indir", required=True)
-    pp.add_argument(
-        "--plan",
-        required=True,
-        choices=["deletion", "lbdcut", "restarts", "decay", "hardness"],
-    )
+    pp.add_argument("--plan", required=True, choices=pipeline.PLAN_NAMES)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--k", type=int, default=1000)
     pp.set_defaults(func=_cmd_experiment)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -99,16 +100,14 @@ def load_solver_defaults(path: str | Path) -> dict:
     return overrides
 
 
-def _base(seed: int = 0, **overrides) -> SolverConfig:
-    defaults = dict(
-        restart=LubyRestarts(100),
-        deletion=KeepLbdCutAtMost(5),
-        decay=0.95,
-        reduce_interval=2000,
-        seed=seed,
-    )
-    defaults.update(overrides)
-    return SolverConfig(**defaults)
+# plan -> (SolverConfig field under test, value in config A, value in B)
+PAIRED_PLANS = {
+    "deletion": ("deletion", KeepLbdCutAtMost(5), KeepSizeAtMost(12)),
+    "lbdcut": ("deletion", KeepLbdCutAtMost(1), KeepLbdCutAtMost(5)),
+    "restarts": ("restart", LubyRestarts(100), GlucoseRestarts(50, 0.8)),
+    "decay": ("decay", 0.95, 0.60),
+}
+PLAN_NAMES = (*PAIRED_PLANS, "hardness")
 
 
 def make_plan(
@@ -133,29 +132,16 @@ def make_plan(
     base_overrides (e.g. from load_solver_defaults) adjusts the shared
     dimensions; the dimension under test always keeps its paired values.
     """
-    shared = dict(base_overrides or {})
-    shared["reduce_interval"] = reduce_interval
-    if name == "deletion":
-        shared.pop("deletion", None)
-        a = _base(deletion=KeepLbdCutAtMost(5), **shared)
-        b = _base(deletion=KeepSizeAtMost(12), **shared)
-    elif name == "lbdcut":
-        shared.pop("deletion", None)
-        a = _base(deletion=KeepLbdCutAtMost(1), **shared)
-        b = _base(deletion=KeepLbdCutAtMost(5), **shared)
-    elif name == "restarts":
-        shared.pop("restart", None)
-        a = _base(restart=LubyRestarts(100), **shared)
-        b = _base(restart=GlucoseRestarts(50, 0.8), **shared)
-    elif name == "decay":
-        shared.pop("decay", None)
-        a = _base(decay=0.95, **shared)
-        b = _base(decay=0.60, **shared)
-    elif name == "hardness":
-        a, b = _base(**shared), None
-    else:
+    if name not in PLAN_NAMES:
         raise ValueError(f"unknown plan {name!r}")
-    return ExperimentPlan(name, a, b, runs_per_formula, seed)
+    shared = {**(base_overrides or {}), "reduce_interval": reduce_interval}
+    if name == "hardness":
+        config_a, config_b = SolverConfig(**shared), None
+    else:
+        field, a, b = PAIRED_PLANS[name]
+        config_a = SolverConfig(**{**shared, field: a})
+        config_b = SolverConfig(**{**shared, field: b})
+    return ExperimentPlan(name, config_a, config_b, runs_per_formula, seed)
 
 
 # --------------------------------------------------------------- suite I/O
@@ -412,22 +398,56 @@ def hardness_table(records: list[dict], labels: list[str], k: int, seed: int) ->
     return rows
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+def analysis_table(
+    rows: list[dict], test: str, col_a: str, col_b: str, k: int, seed: int
+) -> list[dict]:
+    """The `analyze` table over results-CSV rows: test is delta or
+    delta-beta (one row per measure) or beta-gap (col_a's entropy slope
+    against its density slope)."""
+    def column(name):
+        return [float(r[name]) for r in rows]
+
+    entropy, density, ca = column("entropy"), column("density"), column(col_a)
+    if test == "beta-gap":
+        res = stats.beta_gap_entropy_vs_density(entropy, density, ca, k=k, seed=seed)
+        results = [("Entropy-vs-Density", res.gap_ci95, res.gap_p)]
+    else:
+        cb = column(col_b)
+        results = []
+        for title, ms in (("Entropy", entropy), ("Density", density)):
+            if test == "delta":
+                res = stats.delta_test(ms, ca, cb)
+                results.append((title, res.ci95, res.p_two_sided))
+            else:
+                res = stats.delta_beta_test(ms, ca, cb, k=k, seed=seed)
+                results.append((title, res.gap_ci95, res.gap_p))
+    return [
+        {"measure": title, "conf_interval": _fmt_ci(ci), "p_val": _fmt_p(p)}
+        for title, ci, p in results
+    ]
 
 
-def _write_aligned(path: Path, rows: list[dict]) -> None:
-    cols = list(rows[0].keys())
-    widths = {
-        c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols
-    }
+def csv_text(rows: list[dict]) -> str:
+    """Header and rows as CSV, columns in the first row's key order."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def aligned_text(rows: list[dict]) -> str:
+    """Header and rows as space-padded columns, one line each."""
+    cols = list(rows[0])
+    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
     lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
     for r in rows:
         lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    path.write_text(csv_text(rows), newline="")
 
 
 def emit_report(
@@ -495,13 +515,13 @@ def emit_report(
         table = comparison_table(records, plan.label_a, plan.label_b, k, seed)
         p = out / "comparison_table.csv"
         _write_csv(p, table)
-        _write_aligned(out / "comparison_table.txt", table)
+        (out / "comparison_table.txt").write_text(aligned_text(table))
         written += [p, out / "comparison_table.txt"]
 
     htable = hardness_table(records, labels, k, seed)
     p = out / "hardness_table.csv"
     _write_csv(p, htable)
-    _write_aligned(out / "hardness_table.txt", htable)
+    (out / "hardness_table.txt").write_text(aligned_text(htable))
     written += [p, out / "hardness_table.txt"]
 
     # cross-measure check: are entropy and density themselves correlated?

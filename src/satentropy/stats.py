@@ -18,17 +18,16 @@ def mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
 
 
-def sample_std(xs: Sequence[float], population: bool = False) -> float:
+def sample_std(xs: Sequence[float]) -> float:
     m = mean(xs)
-    ddof = 0 if population else 1
-    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - ddof))
+    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - 1))
 
 
-def standardize(xs: Sequence[float], population: bool = False) -> list[float]:
-    """Shift and scale to mean 0, standard deviation 1 (sample sd by default)."""
+def standardize(xs: Sequence[float]) -> list[float]:
+    """Shift and scale to mean 0 and sample standard deviation 1."""
     if len(xs) < 2:
         raise ValueError("standardization needs at least 2 values")
-    s = sample_std(xs, population)
+    s = sample_std(xs)
     if s == 0.0:
         raise ValueError("cannot standardize a constant series")
     m = mean(xs)
@@ -42,18 +41,11 @@ class RegressionResult:
     beta_std: float
     z: float
     p_two_sided: float
-    p_one_sided: float
     ci95: tuple[float, float]
 
 
-def ols(
-    xs: Sequence[float], ys: Sequence[float], h1: str = "less"
-) -> RegressionResult:
-    """Least-squares line fit with a z-test of slope = 0.
-
-    h1 selects the one-sided alternative: "less" (slope < 0) reports
-    Phi(z), "greater" reports 1 - Phi(z).
-    """
+def ols(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
+    """Least-squares line fit with a two-sided z-test of slope = 0."""
     n = len(xs)
     if n != len(ys):
         raise ValueError("series length mismatch")
@@ -73,15 +65,12 @@ def ols(
     else:
         z = beta / beta_std
     p_two = 2.0 * normal_cdf(-abs(z)) if math.isfinite(z) else (1.0 if beta == 0 else 0.0)
-    phi = normal_cdf(z) if math.isfinite(z) else (0.0 if z < 0 else 1.0)
-    p_one = phi if h1 == "less" else 1.0 - phi
     return RegressionResult(
         beta=beta,
         intercept=intercept,
         beta_std=beta_std,
         z=z,
         p_two_sided=min(p_two, 1.0),
-        p_one_sided=p_one,
         ci95=(beta - 1.96 * beta_std, beta + 1.96 * beta_std),
     )
 
@@ -107,14 +96,10 @@ def percentile(sorted_vals: Sequence[float], q: float) -> float:
     return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    k: int
-    per_iteration: tuple[float, ...]
-    ci95_percentile: tuple[float, float]
-    p_value: float
-    points_sampled: int
-    skipped: int
+def _ci95(values: Sequence[float]) -> tuple[float, float]:
+    """Percentile 95% interval of unsorted values."""
+    s = sorted(values)
+    return (percentile(s, 0.025), percentile(s, 0.975))
 
 
 def _percentile_two_sided_p(values: Sequence[float]) -> float:
@@ -125,9 +110,25 @@ def _percentile_two_sided_p(values: Sequence[float]) -> float:
     return min(1.0, 2.0 * min(le / n, ge / n))
 
 
+@dataclass(frozen=True)
+class BootstrapResult:
+    k: int
+    per_iteration: tuple
+    points_sampled: int
+    skipped: int
+
+    @property
+    def ci95_percentile(self) -> tuple[float, float]:
+        return _ci95(self.per_iteration)
+
+    @property
+    def p_value(self) -> float:
+        return _percentile_two_sided_p(self.per_iteration)
+
+
 def bootstrap(
     rows: Sequence[tuple],
-    statistic: Callable[[list[tuple]], float],
+    statistic: Callable[[list[tuple]], object],
     k: int,
     seed: int,
 ) -> BootstrapResult:
@@ -137,6 +138,7 @@ def bootstrap(
     replacement and applies the statistic to the resampled rows. Iterations
     where the statistic raises ValueError (degenerate resample, e.g. a
     constant x column) are skipped and counted. Deterministic in seed.
+    The interval and p-value properties apply to a float statistic.
     """
     n = len(rows)
     if n < 2 or k < 1:
@@ -156,14 +158,8 @@ def bootstrap(
             skipped += 1
     if not per_iter:
         raise ValueError("all bootstrap iterations were degenerate")
-    s = sorted(per_iter)
     return BootstrapResult(
-        k=k,
-        per_iteration=tuple(per_iter),
-        ci95_percentile=(percentile(s, 0.025), percentile(s, 0.975)),
-        p_value=_percentile_two_sided_p(per_iter),
-        points_sampled=points,
-        skipped=skipped,
+        k=k, per_iteration=tuple(per_iter), points_sampled=points, skipped=skipped
     )
 
 
@@ -183,6 +179,15 @@ class BetaGapResult:
     skipped: int
 
 
+def _checked(
+    series: Sequence[Sequence[float]], standardize_inputs: bool
+) -> list[list[float]]:
+    """Copies of equal-length series, standardized if asked."""
+    if len({len(xs) for xs in series}) != 1:
+        raise ValueError("series length mismatch")
+    return [standardize(xs) if standardize_inputs else list(xs) for xs in series]
+
+
 def delta_test(
     measure: Sequence[float],
     conflicts_a: Sequence[float],
@@ -190,14 +195,7 @@ def delta_test(
     standardize_inputs: bool = True,
 ) -> RegressionResult:
     """Regression of the per-point conflict gap (a - b) on the measure."""
-    if not len(measure) == len(conflicts_a) == len(conflicts_b):
-        raise ValueError("series length mismatch")
-    xs = list(measure)
-    ca, cb = list(conflicts_a), list(conflicts_b)
-    if standardize_inputs:
-        xs = standardize(xs)
-        ca = standardize(ca)
-        cb = standardize(cb)
+    xs, ca, cb = _checked((measure, conflicts_a, conflicts_b), standardize_inputs)
     diffs = [a - b for a, b in zip(ca, cb)]
     if all(d == 0.0 for d in diffs):
         # identical heuristics: flat zero fit with no evidence against H0
@@ -207,10 +205,16 @@ def delta_test(
             beta_std=0.0,
             z=0.0,
             p_two_sided=1.0,
-            p_one_sided=0.5,
             ci95=(0.0, 0.0),
         )
     return ols(xs, diffs)
+
+
+def _fit_pair(sample: list[tuple]) -> tuple[float, float, float, float]:
+    """Slope and intercept of the fits of column 1 on 0 and of 3 on 2."""
+    fit_a = ols([r[0] for r in sample], [r[1] for r in sample])
+    fit_b = ols([r[2] for r in sample], [r[3] for r in sample])
+    return fit_a.beta, fit_a.intercept, fit_b.beta, fit_b.intercept
 
 
 def _paired_slope_bootstrap(
@@ -224,49 +228,20 @@ def _paired_slope_bootstrap(
     """Bootstrap the gap between two regression slopes with shared indices."""
     fit_a = ols(list(xa), list(ya))
     fit_b = ols(list(xb), list(yb))
-
-    rows = list(zip(xa, ya, xb, yb))
-    n = len(rows)
-    master = random.Random(seed)
-    gaps: list[float] = []
-    int_gaps: list[float] = []
-    betas_a: list[float] = []
-    betas_b: list[float] = []
-    skipped = 0
-    for _ in range(k):
-        rng = random.Random(master.getrandbits(64))
-        idx = [rng.randrange(n) for _ in range(n)]
-        sample = [rows[i] for i in idx]
-        sxa = [r[0] for r in sample]
-        sya = [r[1] for r in sample]
-        sxb = [r[2] for r in sample]
-        syb = [r[3] for r in sample]
-        try:
-            ra = ols(sxa, sya)
-            rb = ols(sxb, syb)
-        except ValueError:
-            skipped += 1
-            continue
-        gaps.append(ra.beta - rb.beta)
-        int_gaps.append(ra.intercept - rb.intercept)
-        betas_a.append(ra.beta)
-        betas_b.append(rb.beta)
-    if not gaps:
-        raise ValueError("all bootstrap iterations were degenerate")
-    sg = sorted(gaps)
-    si = sorted(int_gaps)
-    sa = sorted(betas_a)
-    sb = sorted(betas_b)
+    boot = bootstrap(list(zip(xa, ya, xb, yb)), _fit_pair, k, seed)
+    betas_a, ints_a, betas_b, ints_b = zip(*boot.per_iteration)
+    gaps = [a - b for a, b in zip(betas_a, betas_b)]
+    int_gaps = [a - b for a, b in zip(ints_a, ints_b)]
     return BetaGapResult(
         beta_a=fit_a,
         beta_b=fit_b,
-        gap_ci95=(percentile(sg, 0.025), percentile(sg, 0.975)),
+        gap_ci95=_ci95(gaps),
         gap_p=_percentile_two_sided_p(gaps),
-        intercept_gap_ci95=(percentile(si, 0.025), percentile(si, 0.975)),
+        intercept_gap_ci95=_ci95(int_gaps),
         intercept_gap_p=_percentile_two_sided_p(int_gaps),
-        beta_a_ci95=(percentile(sa, 0.025), percentile(sa, 0.975)),
-        beta_b_ci95=(percentile(sb, 0.025), percentile(sb, 0.975)),
-        skipped=skipped,
+        beta_a_ci95=_ci95(betas_a),
+        beta_b_ci95=_ci95(betas_b),
+        skipped=boot.skipped,
     )
 
 
@@ -285,14 +260,7 @@ def delta_beta_test(
     the k slope differences. The intercept difference is reported under the
     same resampling.
     """
-    if not len(measure) == len(conflicts_a) == len(conflicts_b):
-        raise ValueError("series length mismatch")
-    xs = list(measure)
-    ca, cb = list(conflicts_a), list(conflicts_b)
-    if standardize_inputs:
-        xs = standardize(xs)
-        ca = standardize(ca)
-        cb = standardize(cb)
+    xs, ca, cb = _checked((measure, conflicts_a, conflicts_b), standardize_inputs)
     return _paired_slope_bootstrap(xs, ca, xs, cb, k, seed)
 
 
@@ -306,11 +274,5 @@ def beta_gap_entropy_vs_density(
 ) -> BetaGapResult:
     """Compare the entropy-vs-conflicts slope with the density-vs-conflicts
     slope for a single solver, bootstrapping their gap with shared indices."""
-    if not len(entropy) == len(density) == len(conflicts):
-        raise ValueError("series length mismatch")
-    e, d, c = list(entropy), list(density), list(conflicts)
-    if standardize_inputs:
-        e = standardize(e)
-        d = standardize(d)
-        c = standardize(c)
+    e, d, c = _checked((entropy, density, conflicts), standardize_inputs)
     return _paired_slope_bootstrap(e, c, d, c, k, seed)

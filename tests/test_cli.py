@@ -47,7 +47,7 @@ class TestCount:
 
 class TestProfile:
     def test_json_on_stdout(self, sat_file, capsys):
-        assert main(["profile", sat_file, "--json"]) == EXIT_OK
+        assert main(["profile", sat_file]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["vars"] == 2
         assert rec["clauses"] == 1
@@ -187,6 +187,20 @@ class TestGenAndExperiment:
             )
             out = capsys.readouterr().out
             assert "measure,conf_interval,p_val" in out
+
+    def test_analyze_names_a_missing_column(self, tmp_path, capsys):
+        # a report's records.csv names its columns conflicts[<label>], so
+        # the default --col-a conflicts_a is not there
+        p = tmp_path / "records.csv"
+        p.write_text(
+            "formula_id,entropy,density,backbone,conflicts[x],conflicts[y]\n"
+            + "".join(f"f{i},0.{i},0.{9 - i},0,{i},{2 * i}\n" for i in range(5))
+        )
+        assert main(["analyze", str(p), "--test", "delta"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unexpected" not in err
+        assert "'conflicts_a'" in err and "conflicts[x], conflicts[y]" in err
+        assert "--col-a" in err and "--col-b" in err
 
     def test_config_file_sets_shared_dimensions(self, tmp_path, capsys):
         suite = tmp_path / "suite"

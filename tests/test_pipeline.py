@@ -1,13 +1,15 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import random
 
 import pytest
 
-from satentropy import pipeline
+from satentropy import pipeline, stats
 from satentropy.benchgen import build_suite
+from satentropy.cli import main
 from satentropy.cnf import parse_dimacs
 from satentropy.entropy import profile_formula
 from satentropy.solver import SolverConfig
@@ -80,6 +82,67 @@ class TestMakePlan:
     def test_unknown_plan(self):
         with pytest.raises(ValueError):
             make_plan("nope")
+
+    def test_override_of_tested_field_is_ignored(self):
+        # even a value SolverConfig would refuse
+        plan = make_plan("decay", base_overrides={"decay": 1.5})
+        assert (plan.config_a.decay, plan.config_b.decay) == (0.95, 0.6)
+
+    # plan -> (field under test, label A, label B, labels A and B over
+    # base_overrides restart=glucose:50:0.8, decay=0.8)
+    LABELS = {
+        "deletion": (
+            "deletion",
+            "luby:100|lbd:5|decay:0.95",
+            "luby:100|size:12|decay:0.95",
+            "glucose:50:0.8|lbd:5|decay:0.8",
+            "glucose:50:0.8|size:12|decay:0.8",
+        ),
+        "lbdcut": (
+            "deletion",
+            "luby:100|lbd:1|decay:0.95",
+            "luby:100|lbd:5|decay:0.95",
+            "glucose:50:0.8|lbd:1|decay:0.8",
+            "glucose:50:0.8|lbd:5|decay:0.8",
+        ),
+        "restarts": (
+            "restart",
+            "luby:100|lbd:5|decay:0.95",
+            "glucose:50:0.8|lbd:5|decay:0.95",
+            "luby:100|lbd:5|decay:0.8",
+            "glucose:50:0.8|lbd:5|decay:0.8",
+        ),
+        "decay": (
+            "decay",
+            "luby:100|lbd:5|decay:0.95",
+            "luby:100|lbd:5|decay:0.6",
+            "glucose:50:0.8|lbd:5|decay:0.95",
+            "glucose:50:0.8|lbd:5|decay:0.6",
+        ),
+        "hardness": (
+            None,
+            "luby:100|lbd:5|decay:0.95",
+            None,
+            "glucose:50:0.8|lbd:5|decay:0.8",
+            None,
+        ),
+    }
+
+    def test_every_plan_labels_and_tested_field(self):
+        overrides = {"restart": pipeline.parse_restart("glucose:50:0.8"), "decay": 0.8}
+        for name, (field, a, b, over_a, over_b) in self.LABELS.items():
+            for base, want in ((None, (a, b)), (overrides, (over_a, over_b))):
+                plan = make_plan(name, base_overrides=base)
+                assert (plan.label_a, plan.label_b) == want, (name, base)
+                if field is None:
+                    assert plan.config_b is None
+                    continue
+                differ = {
+                    f.name
+                    for f in dataclasses.fields(SolverConfig)
+                    if getattr(plan.config_a, f.name) != getattr(plan.config_b, f.name)
+                }
+                assert differ == {field}, (name, base)
 
 
 class TestRunExperiment:
@@ -349,3 +412,111 @@ class TestProfileCacheEnvVar:
         monkeypatch.delenv(pipeline.CACHE_DIR_ENV)
         sidecar = pipeline.load_profile(suite_dir, formula_id)
         assert sidecar is not None  # generator-written sidecar still found
+
+
+def small_records(labels):
+    """Six records whose entropy and density values repeat, so that some
+    bootstrap resamples have a constant x column and are skipped."""
+    entropy = (0.2, 0.2, 0.5, 0.5, 0.5, 0.9)
+    density = (0.1, 0.3, 0.3, 0.3, 0.6, 0.6)
+    conflicts = ((12, 7), (9, 8.5), (15, 4), (6, 6.5), (11, 3), (4, 9))
+    return [
+        {
+            "formula_id": f"s{i}",
+            "entropy": e,
+            "density": d,
+            "backbone": i % 3,
+            "conflicts": dict(zip(labels, c)),
+        }
+        for i, (e, d, c) in enumerate(zip(entropy, density, conflicts))
+    ]
+
+
+def _sha256_files(paths):
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+class TestGoldenReport:
+    """Every report file and every `analyze` output, byte for byte, for
+    fixed synthetic records; the digests were recorded before the report
+    and analysis code was last restructured."""
+
+    K, SEED = 200, 3
+    REPORTS = {
+        ("decay", "synthetic"):
+            "fdd7aec13186ab167579e4ee75fb0c80c2b791b6115dc7a12b3f52de55e194da",
+        ("decay", "small"):
+            "911e5b89cbeb1311c77508c532c7b1d8562aa19add47c7311f9ae1e0de9caf6f",
+        ("hardness", "synthetic"):
+            "fbd496e606f1b2dc5a3795d06f7f5c2602860c8b57b7d19f0320e4d029ee0054",
+        ("hardness", "small"):
+            "abed652046e48b321dc03479c46d88eee29827296f38914c9734d8836f30674f",
+    }
+    ANALYZE = {
+        ("synthetic", "delta"):
+            "a6b8a4c4d1d24619cf5b197cd121176cd5dbe6348f73c1c338a36717c831b49c",
+        ("synthetic", "delta-beta"):
+            "2beb7ab3df7c79e6f78a00877a1662d00ef2d55f26fa25cfbc82fe49585124e3",
+        ("synthetic", "beta-gap"):
+            "5ed27466a96a009371dc316e9181bbd6785f11d209a7333e9eaf5e76a89c0748",
+        ("small", "delta"):
+            "f301191f93d7e35ab6010976142ff6e24007d59de20c216d1f87bf6b336b2e6d",
+        ("small", "delta-beta"):
+            "056c8d3d764f32d230de86992fbeea333266c15472c5a2b26e9774b97fc71cc5",
+        ("small", "beta-gap"):
+            "fb1fe08aa9fd9483a1193268fb8a548f2ff68fe113f02423467c9d57234c23ab",
+    }
+
+    @staticmethod
+    def records(plan, which):
+        labels = [plan.label_a] + ([plan.label_b] if plan.label_b else [])
+        if which == "small":
+            return small_records(labels)
+        records = synthetic_records(n=40, seed=8, labels=("a", "b"))
+        for rec in records:
+            rec["conflicts"] = dict(zip(labels, rec["conflicts"].values()))
+        return records
+
+    def test_report_files_are_golden(self, tmp_path):
+        digests = {}
+        for plan_name, which in self.REPORTS:
+            plan = make_plan(plan_name)
+            out = tmp_path / f"{plan_name}-{which}"
+            written = emit_report(
+                plan, self.records(plan, which), out, k=self.K, seed=self.SEED
+            )
+            assert sorted(written) == sorted(out.iterdir())
+            digests[plan_name, which] = _sha256_files(written)
+        assert digests == self.REPORTS
+
+    def test_small_records_skip_degenerate_resamples(self):
+        plan = make_plan("decay")
+        recs = small_records([plan.label_a, plan.label_b])
+        e = [r["entropy"] for r in recs]
+        d = [r["density"] for r in recs]
+        ca = [r["conflicts"][plan.label_a] for r in recs]
+        cb = [r["conflicts"][plan.label_b] for r in recs]
+        gap = stats.delta_beta_test(e, ca, cb, k=self.K, seed=self.SEED)
+        assert 0 < gap.skipped < self.K
+        gap = stats.beta_gap_entropy_vs_density(e, d, ca, k=self.K, seed=self.SEED)
+        assert 0 < gap.skipped < self.K
+
+    def test_analyze_output_is_golden(self, tmp_path, capsys):
+        plan = make_plan("decay")
+        digests = {}
+        for which, test in self.ANALYZE:
+            out = tmp_path / which
+            emit_report(plan, self.records(plan, which), out, k=10, seed=0)
+            argv = ["analyze", str(out / "records.csv"), "--test", test]
+            argv += ["--k", str(self.K), "--seed", str(self.SEED)]
+            argv += ["--col-a", f"conflicts[{plan.label_a}]"]
+            argv += ["--col-b", f"conflicts[{plan.label_b}]"]
+            capsys.readouterr()
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            blob = captured.out.encode() + b"\0" + captured.err.encode()
+            digests[which, test] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.ANALYZE

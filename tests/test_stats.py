@@ -48,11 +48,6 @@ class TestStandardize:
         with pytest.raises(ValueError, match="constant"):
             standardize([3, 3, 3])
 
-    def test_population_flag(self):
-        zs = standardize([1, 2, 3], population=True)
-        sd = math.sqrt(sum(z * z for z in zs) / 3)
-        assert abs(sd - 1.0) < 1e-12
-
 
 class TestOls:
     @pytest.mark.parametrize("xs,ys,beta,intercept,beta_std", HAND_DATASETS)
@@ -95,7 +90,8 @@ class TestOls:
             xs = [rng.gauss(0, 1) for _ in range(10)]
             ys = [rng.gauss(0, 1) for _ in range(10)]
             r = ols(xs, ys)
-            expect = 2 * min(r.p_one_sided, 1 - r.p_one_sided)
+            phi = normal_cdf(r.z)
+            expect = 2 * min(phi, 1 - phi)
             assert r.p_two_sided == pytest.approx(expect, abs=1e-12)
 
     def test_errors(self):
@@ -105,12 +101,6 @@ class TestOls:
             ols([1, 2, 3], [1, 2])
         with pytest.raises(ValueError):
             ols([2, 2, 2], [1, 2, 3])
-
-    def test_one_sided_direction(self):
-        down = ols([0, 1, 2, 3], [5, 4, 3.2, 2], h1="less")
-        assert down.p_one_sided < 0.5
-        up = ols([0, 1, 2, 3], [5, 4, 3.2, 2], h1="greater")
-        assert up.p_one_sided > 0.5
 
 
 class TestNormalCdf:
@@ -162,6 +152,23 @@ class TestBootstrap:
             assert v == pytest.approx(3.0, abs=1e-9)
         # degenerate resamples (constant x) are skipped, not errored
         assert r.skipped + len(r.per_iteration) == 50
+
+    def test_slope_gap_tests_run_this_loop(self):
+        # the paired slope tests are this bootstrap with a two-fit statistic
+        m = [0.0, 0.0, 0.0, 1.0, 2.0]
+        ca = [1.0, 3.0, 2.0, 5.0, 4.0]
+        cb = [6.0, 5.0, 5.0, 2.0, 3.0]
+
+        def gap(sample):
+            xs = [r[0] for r in sample]
+            fit_a = ols(xs, [r[1] for r in sample])
+            return fit_a.beta - ols(xs, [r[2] for r in sample]).beta
+
+        boot = bootstrap(list(zip(m, ca, cb)), gap, 300, 6)
+        r = delta_beta_test(m, ca, cb, k=300, seed=6, standardize_inputs=False)
+        assert 0 < r.skipped == boot.skipped
+        assert r.gap_ci95 == boot.ci95_percentile
+        assert r.gap_p == boot.p_value
 
 
 class TestDeltaTest:
