@@ -19,7 +19,7 @@ from pathlib import Path
 from .cnf import Clause, CnfFormula, content_hash, write_dimacs
 from .counter import find_model
 from .entropy import backbone_size, profile_formula
-from .pipeline import write_profile
+from .pipeline import _profile_dir, write_profile
 
 
 class BackboneSearchExhausted(RuntimeError):
@@ -127,7 +127,8 @@ def build_suite(
 
     Each accepted instance is re-profiled exactly, and the profile's
     backbone count is checked against the bucket target. Profiles are
-    stored as JSON sidecars under out_dir/profiles/.
+    stored as JSON sidecars under out_dir/profiles/, or under
+    $SATENTROPY_CACHE_DIR when it is set, where experiment runs look.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,7 +160,7 @@ def build_suite(
             fid = content_hash(formula)
             fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
             (out / fname).write_text(write_dimacs(formula))
-            write_profile(out / "profiles" / f"{fid}.json", profile)
+            write_profile(_profile_dir(out) / f"{fid}.json", profile)
             rows.append(
                 {
                     "file": fname,

@@ -114,15 +114,17 @@ def _cmd_experiment(args) -> int:
             args.reduce_interval,
             base_overrides=overrides,
         )
-        records = pipeline.run_experiment(plan, args.suite, args.out, jobs=args.jobs)
+        records = pipeline.run_experiment(
+            plan, args.suite, args.out, jobs=args.jobs, k=args.k
+        )
         pipeline.emit_report(plan, records, args.out, k=args.k, seed=args.seed)
         print(f"{len(records)} records in {args.out}", file=sys.stderr)
         print(str(Path(args.out) / "records.jsonl"))
         return EXIT_OK
-    # report
+    # report: plan, seed and k come from the run's run.json
+    plan, k = pipeline.load_run(args.indir)
     records = pipeline.load_records(args.indir)
-    plan = pipeline.make_plan(args.plan, seed=args.seed)
-    pipeline.emit_report(plan, records, args.indir, k=args.k, seed=args.seed)
+    pipeline.emit_report(plan, records, args.indir, k=k, seed=plan.seed)
     print(str(Path(args.indir) / "records.csv"))
     return EXIT_OK
 
@@ -215,9 +217,6 @@ def build_parser() -> _Parser:
     pr.set_defaults(func=_cmd_experiment)
     pp = psub.add_parser("report")
     pp.add_argument("--in", dest="indir", required=True)
-    pp.add_argument("--plan", required=True, choices=pipeline.PLAN_NAMES)
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--k", type=int, default=1000)
     pp.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("analyze", help="regression tests over a results CSV")

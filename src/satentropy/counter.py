@@ -15,8 +15,8 @@ satentropy.solver for one model and counts nothing.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cnf import CnfFormula, Clause
 from .solver import solve
@@ -32,7 +32,13 @@ class CountBudget:
 
     max_nodes: int | None = None
     max_seconds: float | None = None
-    max_cache_entries: int = 1_000_000
+
+
+# Memory guard on the component cache of one counting run. Past it, the
+# oldest quarter of the entries is evicted at once (FIFO): evicting one at a
+# time through next(iter(dict)) rescans the deleted slots at the front of
+# the dict, which is quadratic.
+_MAX_CACHE_ENTRIES = 1_000_000
 
 
 @dataclass
@@ -40,7 +46,7 @@ class _Run:
     budget: CountBudget = field(default_factory=CountBudget)
     nodes: int = 0
     deadline: float | None = None
-    cache: "OrderedDict[tuple, tuple[int, dict]]" = field(default_factory=OrderedDict)
+    cache: dict[tuple, tuple[int, dict]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.budget.max_seconds is not None:
@@ -57,9 +63,11 @@ class _Run:
                 )
 
     def cache_put(self, key: tuple, value: tuple[int, dict]):
-        self.cache[key] = value
-        if len(self.cache) > self.budget.max_cache_entries:
-            self.cache.popitem(last=False)
+        cache = self.cache
+        cache[key] = value
+        if len(cache) > _MAX_CACHE_ENTRIES:
+            for old in list(islice(cache, len(cache) // 4)):
+                del cache[old]
 
 
 def _condition(clauses: tuple, true_lits) -> tuple | None:
@@ -172,7 +180,6 @@ def _count_marginals(clauses: tuple, run: _Run) -> tuple[int, dict]:
     key = tuple(sorted(clauses))
     cached = run.cache.get(key)
     if cached is not None:
-        run.cache.move_to_end(key)
         return cached
 
     # branch on the most frequent variable

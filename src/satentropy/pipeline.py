@@ -9,11 +9,13 @@ import hashlib
 import io
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import stats
+from . import __version__, stats
 from .cnf import CnfFormula, parse_dimacs
 from .entropy import FormulaProfile, profile_formula
 from .solver import (
@@ -72,6 +74,33 @@ def parse_keep(spec: str):
     raise ValueError(f"unknown deletion criterion {spec!r} (use lbd:N or size:N)")
 
 
+def _restart_spec(policy) -> str:
+    """The parse_restart spec of a restart policy. Unlike label(), whose
+    glucose margin is :g-formatted, it gives the policy back exactly."""
+    if isinstance(policy, GlucoseRestarts):
+        return f"glucose:{policy.window}:{policy.margin!r}"
+    return policy.label()
+
+
+# config key -> (SolverConfig field, parser); key=value config files and
+# the configs in run.json share these keys
+_CONFIG_KEYS = {
+    "restart": ("restart", parse_restart),
+    "keep": ("deletion", parse_keep),
+    "decay": ("decay", float),
+    "reduce_interval": ("reduce_interval", int),
+}
+
+
+def _setting(key: str, value) -> tuple[str, object]:
+    """(SolverConfig field, parsed value) of one config key; ValueError on
+    an unknown key or a bad value."""
+    if key not in _CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r}")
+    field, parse = _CONFIG_KEYS[key]
+    return field, parse(value)
+
+
 def load_solver_defaults(path: str | Path) -> dict:
     """Plain key=value config file for solver defaults.
 
@@ -86,17 +115,11 @@ def load_solver_defaults(path: str | Path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key == "restart":
-            overrides["restart"] = parse_restart(value)
-        elif key == "keep":
-            overrides["deletion"] = parse_keep(value)
-        elif key == "decay":
-            overrides["decay"] = float(value)
-        elif key == "reduce_interval":
-            overrides["reduce_interval"] = int(value)
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            field, parsed = _setting(key.strip(), value.strip())
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        overrides[field] = parsed
     return overrides
 
 
@@ -173,10 +196,18 @@ def load_profile(suite_dir: str | Path, formula_id: str) -> FormulaProfile | Non
     return FormulaProfile.from_dict(json.loads(p.read_text()))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file and a rename, so that a reader finds
+    the old file or the new one, never a partial one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def write_profile(path: Path, profile: FormulaProfile) -> None:
     """Write a profile sidecar in the form load_profile reads back."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(profile.to_dict(), sort_keys=True, indent=1))
+    _write_atomic(path, json.dumps(profile.to_dict(), sort_keys=True, indent=1))
 
 
 def ensure_profile(
@@ -191,6 +222,90 @@ def ensure_profile(
     return profile
 
 
+# ------------------------------------------------------------ run.json
+
+RUN_FILE = "run.json"
+# the run.json fields that fix what records.jsonl holds; k only sets the
+# report's bootstrap, so a rerun may change it
+_RUN_IDENTITY = ("plan", "config_a", "config_b", "seed", "runs_per_formula")
+
+
+def _config_spec(config: SolverConfig) -> dict:
+    """A plan config under the config keys; the per-run seed is not part of
+    it."""
+    return {
+        "restart": _restart_spec(config.restart),
+        "keep": config.deletion.label(),
+        "decay": config.decay,
+        "reduce_interval": config.reduce_interval,
+    }
+
+
+def _config_from_spec(spec: dict) -> SolverConfig:
+    return SolverConfig(**dict(_setting(key, value) for key, value in spec.items()))
+
+
+def _run_spec(plan: ExperimentPlan, k: int) -> dict:
+    return {
+        "plan": plan.name,
+        "config_a": _config_spec(plan.config_a),
+        "config_b": _config_spec(plan.config_b) if plan.config_b else None,
+        "seed": plan.seed,
+        "runs_per_formula": plan.runs_per_formula,
+        "k": k,
+        "satentropy_version": __version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+    }
+
+
+def write_run(out_dir: str | Path, plan: ExperimentPlan, k: int) -> None:
+    """Write run.json: the plan, its configs, seed, runs per formula and the
+    report's bootstrap k. It holds no paths or times, so identical runs
+    write identical bytes."""
+    text = json.dumps(_run_spec(plan, k), sort_keys=True, indent=1) + "\n"
+    _write_atomic(Path(out_dir) / RUN_FILE, text)
+
+
+def load_run(out_dir: str | Path) -> tuple[ExperimentPlan, int]:
+    """The plan and bootstrap k that run.json records."""
+    path = Path(out_dir) / RUN_FILE
+    try:
+        spec = json.loads(path.read_text())
+        config_b = spec["config_b"]
+        plan = ExperimentPlan(
+            spec["plan"],
+            _config_from_spec(spec["config_a"]),
+            _config_from_spec(config_b) if config_b is not None else None,
+            spec["runs_per_formula"],
+            spec["seed"],
+        )
+        return plan, spec["k"]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: not a run description ({e!r})") from None
+
+
+def _claim_run(out: Path, plan: ExperimentPlan, k: int) -> None:
+    """Write run.json for this run. A directory that already holds another
+    run's records is refused: run.json differs in a field other than k, or
+    records.jsonl exists without run.json."""
+    if (out / RUN_FILE).exists():
+        recorded = _run_spec(*load_run(out))
+        wanted = _run_spec(plan, k)
+        for key in _RUN_IDENTITY:
+            if recorded[key] != wanted[key]:
+                raise ValueError(
+                    f"{out / RUN_FILE} records {key} {json.dumps(recorded[key])}, "
+                    f"not {json.dumps(wanted[key])}: {out} holds another run's "
+                    "records; write to a new directory"
+                )
+    elif (out / "records.jsonl").exists():
+        raise ValueError(
+            f"{out} holds records.jsonl but no {RUN_FILE}, so the run that "
+            "wrote them is unknown; write to a new directory"
+        )
+    write_run(out, plan, k)
+
+
 # ------------------------------------------------------------ running
 
 def _run_seed(plan_seed: int, formula_id: str, run: int) -> int:
@@ -198,9 +313,10 @@ def _run_seed(plan_seed: int, formula_id: str, run: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _solve_formula(args) -> dict:
-    """Worker: solve one formula under both configs for all runs."""
-    path, formula_id, plan = args
+def _formula_record(args) -> dict:
+    """Worker: one formula's record from one parse: its mean conflicts under
+    each config over all runs, and its cached or fresh profile."""
+    suite_dir, path, formula_id, plan = args
     formula = parse_dimacs(Path(path).read_text())
     configs = [(plan.label_a, plan.config_a)]
     if plan.config_b is not None:
@@ -220,7 +336,27 @@ def _solve_formula(args) -> dict:
         raise RuntimeError(
             f"solver verdict mismatch on {formula_id}: {verdicts} (soundness bug)"
         )
-    return {"formula_id": formula_id, "conflicts": conflicts}
+    profile = ensure_profile(suite_dir, formula_id, formula)
+    return {
+        "formula_id": formula_id,
+        "entropy": profile.entropy,
+        "density": profile.density,
+        "backbone": profile.backbone_count,
+        "conflicts": conflicts,
+        "seed": plan.seed,
+        "plan": plan.name,
+    }
+
+
+@contextmanager
+def _mapper(jobs: int, items: int):
+    """map, or a process pool's order-keeping map when it has work for
+    more than one worker."""
+    if jobs > 1 and items > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def run_experiment(
@@ -228,73 +364,73 @@ def run_experiment(
     suite_dir: str | Path,
     out_dir: str | Path,
     jobs: int = 1,
+    k: int = 1000,
 ) -> list[dict]:
     """Run the plan over every suite formula; append records to
-    records.jsonl under out_dir (resumable: already-recorded formulas are
-    skipped). Returns all records sorted by formula_id."""
+    records.jsonl under out_dir in manifest order, each as soon as it is
+    done. Writes run.json (with the report's bootstrap k) first and refuses
+    a directory that holds another run. Resumable: recorded formulas are
+    skipped. Returns all records sorted by formula_id."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _claim_run(out, plan, k)
     records_path = out / "records.jsonl"
 
     existing: dict[str, dict] = {}
     if records_path.exists():
-        with records_path.open() as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    existing[rec["formula_id"]] = rec
+        records, complete = _read_records(records_path)
+        if complete < records_path.stat().st_size:
+            os.truncate(records_path, complete)
+        existing = {rec["formula_id"]: rec for rec in records}
 
     manifest = sorted(load_suite(suite_dir), key=lambda r: r["formula_id"])
-    todo = []
-    for row in manifest:
-        fid = row["formula_id"]
-        if fid in existing:
-            continue
-        todo.append((row["path"], fid, plan))
-
-    results: dict[str, dict] = {}
-    if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_solve_formula, todo):
-                results[res["formula_id"]] = res
-    else:
-        for args in todo:
-            res = _solve_formula(args)
-            results[res["formula_id"]] = res
-
+    todo = [
+        (suite_dir, row["path"], row["formula_id"], plan)
+        for row in manifest
+        if row["formula_id"] not in existing
+    ]
     new_records = []
-    for row in manifest:
-        fid = row["formula_id"]
-        if fid in existing:
-            continue
-        formula = parse_dimacs(Path(row["path"]).read_text())
-        profile = ensure_profile(suite_dir, fid, formula)
-        rec = {
-            "formula_id": fid,
-            "entropy": profile.entropy,
-            "density": profile.density,
-            "backbone": profile.backbone_count,
-            "conflicts": results[fid]["conflicts"],
-            "seed": plan.seed,
-            "plan": plan.name,
-        }
-        new_records.append(rec)
-
-    if new_records:
-        with records_path.open("a") as fh:
-            for rec in new_records:
+    if todo:
+        with records_path.open("a") as fh, _mapper(jobs, len(todo)) as map_fn:
+            for rec in map_fn(_formula_record, todo):
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.flush()
+                new_records.append(rec)
 
     all_records = list(existing.values()) + new_records
     all_records.sort(key=lambda r: r["formula_id"])
     return all_records
 
 
+def _read_records(path: Path) -> tuple[list[dict], int]:
+    """The records of a records.jsonl file and the byte length of its
+    complete lines.
+
+    An unterminated final line is a write that was cut short: it is left
+    out, with a warning on stderr. A malformed line anywhere else is a
+    ValueError that names its line.
+    """
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        print(
+            f"warning: {path}: ignoring its unterminated final line "
+            f"({len(data) - complete} bytes), a record cut short",
+            file=sys.stderr,
+        )
+    records = []
+    for lineno, line in enumerate(data[:complete].decode().splitlines(), 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: malformed record: {e}") from None
+    return records, complete
+
+
 def load_records(out_dir: str | Path) -> list[dict]:
-    path = Path(out_dir) / "records.jsonl"
-    records = [
-        json.loads(line) for line in path.read_text().splitlines() if line.strip()
-    ]
+    """The records of out_dir/records.jsonl, sorted by formula_id."""
+    records, _ = _read_records(Path(out_dir) / "records.jsonl")
     records.sort(key=lambda r: r["formula_id"])
     return records
 
@@ -405,7 +541,15 @@ def analysis_table(
     delta-beta (one row per measure) or beta-gap (col_a's entropy slope
     against its density slope)."""
     def column(name):
-        return [float(r[name]) for r in rows]
+        values = []
+        for row, r in enumerate(rows, 1):
+            try:
+                values.append(float(r[name]))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"column {name!r}, data row {row}: {r[name]!r} is not a number"
+                ) from None
+        return values
 
     entropy, density, ca = column("entropy"), column("density"), column(col_a)
     if test == "beta-gap":

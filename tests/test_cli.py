@@ -113,6 +113,26 @@ class TestUsage:
         assert "literal 3" in err
 
 
+GEN_SMALL = ["gen", "--vars", "10", "--backbones", "2,4", "--per-bucket", "2"]
+GEN_SMALL += ["--seed", "3", "--tune-clauses"]
+
+
+@pytest.fixture(scope="module")
+def small_suite(tmp_path_factory):
+    suite = tmp_path_factory.mktemp("small") / "suite"
+    assert main(GEN_SMALL + ["--out", str(suite)]) == EXIT_OK
+    return suite
+
+
+def _run_args(suite, out, *extra):
+    args = ["experiment", "run", "--plan", "decay", "--suite", str(suite)]
+    return args + ["--out", str(out), "--runs-per-formula", "1", "--k", "20", *extra]
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 class TestGenAndExperiment:
     def test_end_to_end_determinism(self, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -272,25 +292,142 @@ class TestGenAndExperiment:
         assert code == EXIT_ERROR
         assert "unknown key" in capsys.readouterr().err
 
-    def test_report_after_config_run_is_runtime_error(self, tmp_path, capsys):
-        # the records carry the config file's labels, which report does not
-        # know; that must end in exit 2 with one error line, not a traceback
-        suite = tmp_path / "suite"
-        gen = ["gen", "--vars", "10", "--backbones", "2,4", "--per-bucket", "2"]
-        gen += ["--seed", "3", "--out", str(suite), "--tune-clauses"]
-        assert main(gen) == EXIT_OK
+    def test_report_reproduces_config_run_files(self, small_suite, tmp_path, capsys):
+        # report takes the configs from run.json, so the config file's
+        # labels are known to it
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("restart = glucose:50:0.8\n")
-        res = str(tmp_path / "res")
-        run = ["experiment", "run", "--plan", "decay", "--suite", str(suite)]
-        run += ["--out", res, "--config", str(cfg), "--k", "20"]
-        assert main(run + ["--runs-per-formula", "1"]) == EXIT_OK
+        res = tmp_path / "res"
+        run = _run_args(small_suite, res, "--config", str(cfg), "--k", "20")
+        assert main(run) == EXIT_OK
+        before = _files(res)
+        assert "conflicts[glucose:50:0.8|lbd:5|decay:0.95]" in before["records.csv"].decode()
         capsys.readouterr()
-        code = main(["experiment", "report", "--in", res, "--plan", "decay"])
-        assert code == EXIT_ERROR
+        assert main(["experiment", "report", "--in", str(res)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert _files(res) == before
+
+    def test_report_keeps_the_runs_seed_and_k(self, small_suite, tmp_path):
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res, "--seed", "7", "--k", "50")) == EXIT_OK
+        before = (res / "hardness_table.csv").read_bytes()
+        assert main(["experiment", "report", "--in", str(res)]) == EXIT_OK
+        assert (res / "hardness_table.csv").read_bytes() == before
+
+    def test_report_options_are_gone(self, tmp_path, capsys):
+        for extra in (["--plan", "decay"], ["--seed", "7"], ["--k", "50"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["experiment", "report", "--in", str(tmp_path)] + extra)
+            assert exc.value.code == EXIT_USAGE
+
+    def test_report_without_run_json_is_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "records.jsonl").write_text("")
+        assert main(["experiment", "report", "--in", str(tmp_path)]) == EXIT_ERROR
+        assert "run.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("plan", ["--plan", "restarts"]),
+            ("seed", ["--seed", "8"]),
+            ("runs_per_formula", ["--runs-per-formula", "2"]),
+            ("config_a", ["--reduce-interval", "50"]),
+        ],
+    )
+    def test_rerun_of_another_run_is_refused(
+        self, small_suite, tmp_path, capsys, field, change
+    ):
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        files = _files(res)
+        capsys.readouterr()
+        assert main(_run_args(small_suite, res) + change) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "KeyError" in err and "Traceback" not in err
+        assert f"records {field} " in err and "unexpected" not in err
+        assert _files(res) == files
+
+    def test_rerun_with_another_k_reports_without_solving(
+        self, small_suite, tmp_path, monkeypatch
+    ):
+        res, fresh = tmp_path / "res", tmp_path / "fresh"
+        assert main(_run_args(small_suite, res, "--k", "20")) == EXIT_OK
+        assert main(_run_args(small_suite, fresh, "--k", "30")) == EXIT_OK
+        records = (res / "records.jsonl").read_bytes()
+
+        from satentropy import pipeline
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a recorded formula")
+
+        monkeypatch.setattr(pipeline, "solve", no_solve)
+        assert main(_run_args(small_suite, res, "--k", "30")) == EXIT_OK
+        assert json.loads((res / "run.json").read_text())["k"] == 30
+        assert (res / "records.jsonl").read_bytes() == records
+        assert _files(res) == _files(fresh)
+
+    def test_records_without_run_json_are_refused(self, small_suite, tmp_path, capsys):
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        (res / "run.json").unlink()
+        records = (res / "records.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(_run_args(small_suite, res)) == EXIT_ERROR
+        assert "no run.json" in capsys.readouterr().err
+        assert (res / "records.jsonl").read_bytes() == records
+
+    def test_torn_final_record_is_dropped_and_solved_again(
+        self, small_suite, tmp_path, capsys
+    ):
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        path = res / "records.jsonl"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) - 25])  # cut inside the last line
+        capsys.readouterr()
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "unterminated final line" in err
+        assert path.read_bytes() == whole
+
+    def test_malformed_inner_record_names_its_line(self, small_suite, tmp_path, capsys):
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        path = res / "records.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:30] + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(_run_args(small_suite, res)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "records.jsonl:2: malformed record" in err
+        assert main(["experiment", "report", "--in", str(res)]) == EXIT_ERROR
+        assert "records.jsonl:2: malformed record" in capsys.readouterr().err
+
+    def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
+        from satentropy import pipeline
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(pipeline.CACHE_DIR_ENV, str(cache))
+        suite = tmp_path / "suite"
+        assert main(GEN_SMALL + ["--out", str(suite)]) == EXIT_OK
+        assert not (suite / "profiles").exists()
+        assert len(list(cache.glob("*.json"))) == 4
+
+        def no_profile(formula):
+            raise AssertionError("profiled a formula gen had profiled")
+
+        monkeypatch.setattr(pipeline, "profile_formula", no_profile)
+        assert main(_run_args(suite, tmp_path / "res")) == EXIT_OK
+
+    def test_analyze_names_a_bad_cell(self, tmp_path, capsys):
+        p = tmp_path / "results.csv"
+        rows = [f"0.{i},0.{9 - i},{i},{2 * i}\n" for i in range(5)]
+        rows[3] = "0.3,,3,6\n"
+        p.write_text("entropy,density,conflicts_a,conflicts_b\n" + "".join(rows))
+        assert main(["analyze", str(p), "--test", "delta"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: column 'density', data row 4: '' is not a number\n"
 
 
 def test_unexpected_exception_is_runtime_error(sat_file, capsys, monkeypatch):

@@ -136,6 +136,16 @@ def test_marginals_match_conditioned_counts(corpus):
             assert pos == count_models_bruteforce(conditioned_formula(f, v)), (seed, v)
 
 
+def test_cache_eviction_keeps_counts_exact(monkeypatch):
+    # a cap far below the cache's size evicts over and over
+    from satentropy import counter
+
+    formulas = [random_3sat(seed, 16, 3.0) for seed in range(4)]
+    full = [count_with_marginals(f) for f in formulas]
+    monkeypatch.setattr(counter, "_MAX_CACHE_ENTRIES", 4)
+    assert [count_with_marginals(f) for f in formulas] == full
+
+
 def test_marginal_of_unconstrained_variable_is_half():
     f = CnfFormula.from_clause_lists(3, [[1, 2]])
     assert count_with_marginals(f) == (6, {1: 4, 2: 4, 3: 3})

@@ -212,7 +212,7 @@ class TestRunExperiment:
             return real_solve(formula, cfg)
 
         monkeypatch.setattr(pipeline, "solve", recording_solve)
-        pipeline._solve_formula((row["path"], row["formula_id"], plan))
+        pipeline._formula_record((suite_dir, row["path"], row["formula_id"], plan))
         expected = [
             dataclasses.replace(
                 cfg, seed=pipeline._run_seed(plan.seed, row["formula_id"], run)
@@ -227,6 +227,79 @@ class TestRunExperiment:
         serial = run_experiment(plan, suite_dir, tmp_path / "s", jobs=1)
         parallel = run_experiment(plan, suite_dir, tmp_path / "p", jobs=2)
         assert serial == parallel
+
+
+    def test_parallel_profiles_cold_formulas_like_serial(
+        self, suite_dir, tmp_path, monkeypatch
+    ):
+        plan = make_plan("hardness", runs_per_formula=1, seed=3)
+        outputs = []
+        for jobs in (1, 2):
+            cache = tmp_path / f"cache{jobs}"
+            monkeypatch.setenv(pipeline.CACHE_DIR_ENV, str(cache))
+            out = tmp_path / f"out{jobs}"
+            run_experiment(plan, suite_dir, out, jobs=jobs)
+            files = {p.name: p.read_bytes() for p in sorted(cache.iterdir())}
+            outputs.append((files, (out / "records.jsonl").read_bytes()))
+        assert len(outputs[0][0]) == 12
+        assert outputs[0] == outputs[1]
+
+
+class TestRunFile:
+    OVERRIDES = {
+        "restart": pipeline.parse_restart("glucose:50:0.8123457"),
+        "decay": 0.9876543,
+        "reduce_interval": 300,
+    }
+
+    def test_round_trip_every_plan(self, tmp_path):
+        for name in pipeline.PLAN_NAMES:
+            for base in (None, self.OVERRIDES):
+                plan = make_plan(name, runs_per_formula=3, seed=11, base_overrides=base)
+                pipeline.write_run(tmp_path, plan, 250)
+                assert pipeline.load_run(tmp_path) == (plan, 250), (name, base)
+
+    def test_round_trip_is_exact_where_labels_round(self, tmp_path):
+        plan = make_plan("deletion", base_overrides=self.OVERRIDES)
+        assert plan.label_a == "glucose:50:0.812346|lbd:5|decay:0.987654"
+        pipeline.write_run(tmp_path, plan, 10)
+        loaded, _ = pipeline.load_run(tmp_path)
+        for config in (loaded.config_a, loaded.config_b):
+            assert config.restart.margin == 0.8123457
+            assert config.decay == 0.9876543
+
+    def test_contents_are_fixed_by_the_plan_and_k(self, tmp_path):
+        plan = make_plan("decay", runs_per_formula=2, seed=7)
+        pipeline.write_run(tmp_path, plan, 50)
+        text = (tmp_path / "run.json").read_text()
+        assert str(tmp_path) not in text
+        spec = json.loads(text)
+        assert spec["config_a"] == {
+            "decay": 0.95, "keep": "lbd:5", "reduce_interval": 2000, "restart": "luby:100"
+        }
+        assert (spec["plan"], spec["seed"], spec["runs_per_formula"], spec["k"]) == (
+            "decay", 7, 2, 50
+        )
+        assert set(spec) == {
+            "plan", "config_a", "config_b", "seed", "runs_per_formula", "k",
+            "satentropy_version", "python_version",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_bad_run_json_is_a_value_error(self, tmp_path):
+        (tmp_path / "run.json").write_text('{"plan": "decay"}\n')
+        with pytest.raises(ValueError, match="not a run description"):
+            pipeline.load_run(tmp_path)
+
+    def test_run_experiment_writes_it_before_solving(self, suite_dir, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(pipeline, "solve", no_solve)
+        plan = make_plan("decay", runs_per_formula=1, seed=3)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(plan, suite_dir, tmp_path, k=40)
+        assert pipeline.load_run(tmp_path) == (plan, 40)
 
 
 class TestHardnessRegression:
