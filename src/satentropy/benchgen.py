@@ -18,17 +18,26 @@ from pathlib import Path
 
 from .cnf import Clause, CnfFormula, content_hash, write_dimacs
 from .counter import find_model
-from .entropy import backbone_size, profile_formula
+from .entropy import UnsatisfiableFormula, backbone_size, profile_formula
 from .pipeline import _profile_dir, write_profile
 
 
 class BackboneSearchExhausted(RuntimeError):
-    """Rejection sampling failed; carries a histogram of observed sizes."""
+    """Rejection sampling failed; carries a histogram of observed sizes.
 
-    def __init__(self, spec: "BenchSpec", histogram: dict[int, int]):
+    backbone_size stops early on both sides of the target t, so the
+    satisfiable draws fall in two bins: "<t" for sizes below t and t + 1
+    for sizes above it. Unsatisfiable draws are not counted.
+    """
+
+    def __init__(self, spec: "BenchSpec", histogram: dict[int | str, int]):
+        # the "<t" bin first, then the sizes
+        shown = dict(
+            sorted(histogram.items(), key=lambda kv: (isinstance(kv[0], int), kv[0]))
+        )
         super().__init__(
             f"no instance with backbone {spec.target_backbone} found in "
-            f"{spec.max_attempts} attempts (observed sizes: {dict(sorted(histogram.items()))})"
+            f"{spec.max_attempts} attempts (observed sizes: {shown})"
         )
         self.histogram = histogram
 
@@ -74,24 +83,30 @@ def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula,
     guarantees at least that many backbone variables; the draw is still
     rejected if extra backbone variables appear.
     """
-    histogram: dict[int, int] = {}
+    histogram: dict[int | str, int] = {}
+    target = spec.target_backbone
     for attempt in range(spec.max_attempts):
         f = gen_random_3sat(
             spec.num_vars, spec.num_clauses, _attempt_seed(spec.seed, attempt)
         )
-        model = find_model(f)
-        if model is None:
-            continue
         if force:
+            # the pinned model comes from a fresh default solve
+            model = find_model(f)
+            if model is None:
+                continue
             rng = random.Random(_attempt_seed(spec.seed ^ 0x5EED, attempt))
-            pinned = rng.sample(range(1, spec.num_vars + 1), spec.target_backbone)
+            pinned = rng.sample(range(1, spec.num_vars + 1), target)
             units = tuple(
                 Clause((v if model[v] else -v,)) for v in sorted(pinned)
             )
             f = CnfFormula(f.num_vars, f.clauses + units)
-        size = backbone_size(f, abort_above=spec.target_backbone)
-        histogram[size] = histogram.get(size, 0) + 1
-        if size == spec.target_backbone:
+        try:
+            size = backbone_size(f, abort_above=target, abort_below=target)
+        except UnsatisfiableFormula:
+            continue
+        key = size if size >= target else f"<{target}"
+        histogram[key] = histogram.get(key, 0) + 1
+        if size == target:
             return f, attempt + 1
     raise BackboneSearchExhausted(spec, histogram)
 

@@ -207,7 +207,13 @@ def build_parser() -> _Parser:
     pr.add_argument("--jobs", type=int, default=1)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--runs-per-formula", type=int, default=5)
-    pr.add_argument("--reduce-interval", type=int, default=2000)
+    pr.add_argument(
+        "--reduce-interval",
+        type=int,
+        default=None,
+        help="conflicts between database reductions (default: the --config "
+        "file's reduce_interval, else 2000)",
+    )
     pr.add_argument(
         "--config",
         default=None,

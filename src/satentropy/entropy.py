@@ -1,4 +1,11 @@
-"""Solution-space profiling: literal ratios, entropy, density, backbones."""
+"""Solution-space profiling: literal ratios, entropy, density, backbones.
+
+Profiles and the backbone set come from one exact counting pass.
+backbone_size counts no models: it probes one incremental CDCL instance,
+one probe per candidate literal under the assumption that it is false,
+and can stop early once the size is known to lie above `abort_above` or
+below `abort_below`.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +15,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .cnf import CnfFormula
+# find_model is not called here; perfbench's tests find it at this binding
 from .counter import (
     CountBudget,
     conditioned_formula,
     count_with_marginals,
     find_model,
 )
+from .solver import SolverConfig, _Solver
 
 
 class UnsatisfiableFormula(ValueError):
@@ -149,19 +158,28 @@ def backbone(formula: CnfFormula) -> set[int]:
     }
 
 
-def backbone_size(formula: CnfFormula, abort_above: int | None = None) -> int:
+def backbone_size(
+    formula: CnfFormula,
+    abort_above: int | None = None,
+    abort_below: int | None = None,
+) -> int:
     """Number of backbone variables, via satisfiability probes with model
-    filtering (Janota, Lynce & Marques-Silva, AI Communications 2015).
+    filtering on one incremental solver (Janota, Lynce & Marques-Silva,
+    AI Communications 2015).
 
-    Needs no model count. Only a polarity that every model seen so far
-    agrees on can be backbone, so a variable is probed only while it is
-    still a candidate: its literal l is backbone iff formula AND NOT l is
-    unsatisfiable, and each satisfiable probe's model drops every candidate
-    whose polarity it flips. Variables are decided in increasing order, so
-    with abort_above set the call returns abort_above + 1 as soon as the
-    count exceeds it.
+    Needs no model count. One _Solver finds a first model and then answers
+    every probe under an assumption, keeping its learned clauses. Only a
+    polarity that every model seen so far agrees on can be backbone, so a
+    variable is probed only while it is still a candidate: its literal l is
+    backbone iff no model sets NOT l, and each model found drops every
+    candidate whose polarity it flips. Variables are decided in increasing
+    order. With abort_above set the call returns abort_above + 1 as soon as
+    the count exceeds it; with abort_below set it returns a number below
+    abort_below as soon as the count plus the undecided candidates is.
+    Between the two bounds the result is exact.
     """
-    candidates = find_model(formula)
+    solver = _Solver(formula, SolverConfig())
+    candidates = solver.solve().model
     if candidates is None:
         raise UnsatisfiableFormula("backbone undefined for unsatisfiable formula")
     count = 0
@@ -169,11 +187,15 @@ def backbone_size(formula: CnfFormula, abort_above: int | None = None) -> int:
         if v not in candidates:
             continue
         lit = v if candidates[v] else -v
-        model = find_model(conditioned_formula(formula, -lit))
+        model = solver.probe(-lit)
         if model is None:
             count += 1
             if abort_above is not None and count > abort_above:
                 return count
         else:
             candidates = {u: b for u, b in candidates.items() if model[u] == b}
+            # the candidates up to v are the backbone found so far, so
+            # len(candidates) is count + undecided candidates
+            if abort_below is not None and len(candidates) < abort_below:
+                return len(candidates)
     return count

@@ -137,7 +137,7 @@ def make_plan(
     name: str,
     runs_per_formula: int = 5,
     seed: int = 0,
-    reduce_interval: int = 2000,
+    reduce_interval: int | None = None,
     base_overrides: dict | None = None,
 ) -> ExperimentPlan:
     """The built-in experiment plans.
@@ -154,10 +154,14 @@ def make_plan(
 
     base_overrides (e.g. from load_solver_defaults) adjusts the shared
     dimensions; the dimension under test always keeps its paired values.
+    A reduce_interval given here wins over one in base_overrides; with
+    neither, SolverConfig's default holds.
     """
     if name not in PLAN_NAMES:
         raise ValueError(f"unknown plan {name!r}")
-    shared = {**(base_overrides or {}), "reduce_interval": reduce_interval}
+    shared = dict(base_overrides or {})
+    if reduce_interval is not None:
+        shared["reduce_interval"] = reduce_interval
     if name == "hardness":
         config_a, config_b = SolverConfig(**shared), None
     else:
@@ -198,10 +202,11 @@ def load_profile(suite_dir: str | Path, formula_id: str) -> FormulaProfile | Non
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temporary file and a rename, so that a reader finds
-    the old file or the new one, never a partial one."""
+    the old file or the new one, never a partial one. The text is written
+    as it is, with no newline translation."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
@@ -591,7 +596,7 @@ def aligned_text(rows: list[dict]) -> str:
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    path.write_text(csv_text(rows), newline="")
+    _write_atomic(path, csv_text(rows))
 
 
 def emit_report(
@@ -659,13 +664,13 @@ def emit_report(
         table = comparison_table(records, plan.label_a, plan.label_b, k, seed)
         p = out / "comparison_table.csv"
         _write_csv(p, table)
-        (out / "comparison_table.txt").write_text(aligned_text(table))
+        _write_atomic(out / "comparison_table.txt", aligned_text(table))
         written += [p, out / "comparison_table.txt"]
 
     htable = hardness_table(records, labels, k, seed)
     p = out / "hardness_table.csv"
     _write_csv(p, htable)
-    (out / "hardness_table.txt").write_text(aligned_text(htable))
+    _write_atomic(out / "hardness_table.txt", aligned_text(htable))
     written += [p, out / "hardness_table.txt"]
 
     # cross-measure check: are entropy and density themselves correlated?

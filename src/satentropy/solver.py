@@ -7,6 +7,14 @@ policy (Luby vs dynamic LBD-based), learned clause deletion criterion
 (LBD-cut vs size) and the VSIDS decay factor. Its primary observable output
 is the number of conflicts.
 
+One search loop serves two entry points. `solve` runs it once on a fresh
+instance. `_Solver.probe(lit)`, called after a solve on the same instance,
+runs it again under the single assumption `lit`: the literal is the level-1
+decision, placed again after every restart, and the answer is None once it
+is false at level 0. Learned clauses carry over from probe to probe, which
+is the one-instance backbone loop of Janota, Lynce & Marques-Silva
+(AI Communications 2015) on a MiniSat-style assumption interface.
+
 Assignments and watches are literal-indexed, as in MiniSat (Een & Sorensson,
 "An extensible SAT-solver", SAT 2003): `value` and `watches` are flat lists
 of length 2n + 1 where literal l lives at index l, so -v lands in the upper
@@ -542,9 +550,31 @@ class _Solver:
             return self._stats("UNSAT", None)
         for u in self.units:
             if not self.enqueue(u, None, None):
+                self.unsat = True
                 return self._stats("UNSAT", None)
         self.attach_all()
+        return self.search()
 
+    def probe(self, assume: int) -> dict[int, bool] | None:
+        """A model in which `assume` is true, or None if there is none.
+
+        Call after solve(). The search restarts from level 0 with `assume`
+        as the level-1 decision, placed again after every restart, and
+        keeps every clause learned so far: they are implied by the formula
+        alone. The answer is None once `assume` is false at level 0.
+        """
+        if self.unsat:
+            return None
+        self.backjump(0)
+        st = self.search(assume)
+        if st.result == "BUDGET":
+            raise RuntimeError("conflict budget exhausted during a probe")
+        return st.model
+
+    def search(self, assume: int | None = None) -> SolveStats:
+        """The CDCL loop from the current trail; with `assume`, the search
+        decides that literal first at level 0 and stops with "UNSAT" once
+        it is false there."""
         while True:
             conflict = self.propagate()
             if conflict is not None:
@@ -552,6 +582,7 @@ class _Solver:
                 self.conflicts_since_restart += 1
                 self.conflicts_since_reduce += 1
                 if self.current_level() == 0:
+                    self.unsat = True
                     return self._stats("UNSAT", None)
                 learned, bj, lbd = self.analyze(conflict)
                 self.backjump(bj)
@@ -580,6 +611,15 @@ class _Solver:
                 self.do_restart()
                 continue
 
+            if assume is not None and not self.trail_lim:
+                val = self.value[assume]
+                if val == 0:
+                    return self._stats("UNSAT", None)
+                if val == _UNASSIGNED:
+                    self.decisions += 1
+                    self.trail_lim.append(len(self.trail))
+                    self.enqueue(assume, None, None)
+                    continue
             v = self.pick_branch_var()
             if v is None:
                 model = {
@@ -587,6 +627,8 @@ class _Solver:
                 }
                 if not evaluate(self.formula, model):
                     raise RuntimeError("model failed verification (soundness bug)")
+                if assume is not None and model[abs(assume)] != (assume > 0):
+                    raise RuntimeError("model violates the assumption (soundness bug)")
                 return self._stats("SAT", model)
             self.decisions += 1
             self.trail_lim.append(len(self.trail))

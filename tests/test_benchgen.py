@@ -59,6 +59,19 @@ class TestBackboneControl:
             gen_with_backbone(spec)
         assert isinstance(exc.value.histogram, dict)
 
+    def test_exhaustion_bins_sizes_around_the_target(self):
+        # draws stop early on either side of the target: "<t" and t + 1
+        spec = BenchSpec(10, 10, target_backbone=10, seed=0, max_attempts=5)
+        with pytest.raises(BackboneSearchExhausted) as exc:
+            gen_with_backbone(spec)
+        assert exc.value.histogram == {"<10": 5}
+        # 2 of the 6 draws are unsatisfiable and not binned
+        spec = BenchSpec(12, 52, target_backbone=3, seed=1, max_attempts=6)
+        with pytest.raises(BackboneSearchExhausted) as exc:
+            gen_with_backbone(spec)
+        assert exc.value.histogram == {"<3": 1, 4: 3}
+        assert "(observed sizes: {'<3': 1, 4: 3})" in str(exc.value)
+
     def test_force_mode_pins_backbone(self):
         spec = BenchSpec(10, 30, target_backbone=9, seed=3, max_attempts=2000)
         f, _ = gen_with_backbone(spec, force=True)

@@ -307,6 +307,18 @@ class TestGenAndExperiment:
         assert capsys.readouterr().err == ""
         assert _files(res) == before
 
+    def test_config_file_reduce_interval_reaches_run_json(self, small_suite, tmp_path):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("reduce_interval = 50\n")
+        res, plain = tmp_path / "res", tmp_path / "plain"
+        assert main(_run_args(small_suite, res, "--config", str(cfg))) == EXIT_OK
+        assert main(_run_args(small_suite, plain)) == EXIT_OK
+        configs = json.loads((res / "run.json").read_text())
+        assert configs["config_a"]["reduce_interval"] == 50
+        assert configs["config_b"]["reduce_interval"] == 50
+        default = json.loads((plain / "run.json").read_text())
+        assert default["config_a"]["reduce_interval"] == 2000
+
     def test_report_keeps_the_runs_seed_and_k(self, small_suite, tmp_path):
         res = tmp_path / "res"
         assert main(_run_args(small_suite, res, "--seed", "7", "--k", "50")) == EXIT_OK

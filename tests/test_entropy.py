@@ -185,6 +185,22 @@ class TestBackbone:
             for k in range(size):
                 assert backbone_size(f, abort_above=k) == min(size, k + 1), seed
 
+    def test_abort_below_decides_against_the_target(self):
+        # below k iff the size is, and exact otherwise; with both bounds
+        # at k, k exactly when the size is k (gen_with_backbone's test)
+        corpora = (criterion_1_corpus(), criterion_2_corpus())
+        for seed, f in itertools.chain(*corpora):
+            if count_models(f) == 0:
+                continue
+            size = len(backbone(f))
+            for k in range(f.num_vars + 2):
+                got = backbone_size(f, abort_below=k)
+                assert (got < k) == (size < k), (seed, k)
+                if size >= k:
+                    assert got == size, (seed, k)
+                both = backbone_size(f, abort_above=k, abort_below=k)
+                assert (both == k) == (size == k), (seed, k)
+
     def test_size_abort_early(self):
         f = CnfFormula.from_clause_lists(3, [[1], [2], [3]])
         assert backbone_size(f, abort_above=1) == 2

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -564,6 +565,25 @@ class TestGoldenReport:
             assert sorted(written) == sorted(out.iterdir())
             digests[plan_name, which] = _sha256_files(written)
         assert digests == self.REPORTS
+
+    def test_a_torn_write_leaves_every_report_file_whole(self, tmp_path, monkeypatch):
+        # a write that dies part way must leave each file old or new
+        plan = make_plan("decay")
+        emit_report(plan, self.records(plan, "small"), tmp_path, k=10, seed=0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write = pathlib.Path.write_text
+
+        def torn(path, text, *args, **kwargs):
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", torn)
+        with pytest.raises(OSError):
+            emit_report(plan, self.records(plan, "synthetic"), tmp_path, k=10, seed=0)
+        after = {
+            p.name: p.read_bytes() for p in tmp_path.iterdir() if not p.name.startswith(".")
+        }
+        assert after == before
 
     def test_small_records_skip_degenerate_resamples(self):
         plan = make_plan("decay")

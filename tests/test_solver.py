@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from satentropy.cnf import CnfFormula, content_hash, evaluate
-from satentropy.counter import count_models_bruteforce
+from satentropy.counter import count_models, count_models_bruteforce
+from satentropy.entropy import backbone
 from satentropy.solver import (
     GlucoseRestarts,
     KeepLbdCutAtMost,
@@ -21,7 +22,7 @@ from satentropy.solver import (
     _Solver,
     solve,
 )
-from conftest import random_3sat, random_formula
+from conftest import criterion_1_corpus, criterion_2_corpus, random_3sat, random_formula
 
 
 ALL_CONFIGS = [
@@ -294,6 +295,80 @@ class TestValueLayout:
                 assert s.value[lit] == 1 and s.value[-lit] == 0
             checked += st.result == "SAT"
         assert checked > 0
+
+
+class TestProbe:
+    def test_implied_literal_negation_is_none(self):
+        # 3 is implied, but only by search: nothing propagates at level 0
+        f = CnfFormula.from_clause_lists(4, [[3, 4], [3, -4], [1, 2]])
+        s = _Solver(f, SolverConfig())
+        assert s.solve().result == "SAT"
+        assert s.probe(-3) is None
+        assert s.value[3] == 1 and s.level[3] == 0
+        assert s.probe(3)[3] is True
+
+    def test_unsat_formula_has_no_probe_model(self):
+        s = _Solver(CnfFormula.from_clause_lists(2, [[1], [-1, 2], [-2]]), SolverConfig())
+        assert s.solve().result == "UNSAT"
+        assert s.probe(2) is None and s.probe(-2) is None
+
+    def test_probes_agree_with_counted_backbone(self):
+        # every literal of every satisfiable formula is probed on one
+        # instance: None exactly for the negated backbone literals, and a
+        # model that satisfies the formula and the assumption otherwise
+        formulas = [f for _, f in criterion_2_corpus()]
+        formulas += [f for seed, f in criterion_1_corpus() if seed < 150]
+        probed = 0
+        for f in formulas:
+            s = _Solver(f, SolverConfig())
+            if s.solve().result != "SAT":
+                continue
+            bb = backbone(f)
+            for v in range(1, f.num_vars + 1):
+                for lit in (v, -v):
+                    model = s.probe(lit)
+                    if model is None:
+                        assert -lit in bb, (f, lit)
+                    else:
+                        assert evaluate(f, model) and model[v] == (lit > 0)
+                        assert -lit not in bb
+                    probed += 1
+        assert probed > 2000
+
+    def test_learned_clauses_keep_the_models(self):
+        # learned clauses are implied by the formula alone, so after many
+        # probes the formula with them has the same models and verdict
+        learned = 0
+        for seed in range(40):
+            f = random_3sat(seed, 14, 4.0)
+            s = _Solver(f, SolverConfig(reduce_interval=10))
+            if s.solve().result != "SAT":
+                continue
+            for v in range(1, f.num_vars + 1):
+                s.probe(v)
+                s.probe(-v)
+            extra = [m.lits for m in s.learned]
+            learned += len(extra)
+            g = CnfFormula.from_clause_lists(
+                f.num_vars, [list(c.lits) for c in f.clauses] + extra
+            )
+            assert count_models(g) == count_models(f), seed
+            assert solve(g).result == "SAT"
+        assert learned > 0
+
+    def test_model_violating_the_assumption_raises(self):
+        # an explicit check, so it also holds under python -O
+        class Flipping(_Solver):
+            flip = None
+
+            def enqueue(self, lit, reason=None, meta=None):
+                return super().enqueue(-lit if lit == self.flip else lit, reason, meta)
+
+        s = Flipping(CnfFormula.from_clause_lists(2, [[1, 2]]), SolverConfig())
+        assert s.solve().result == "SAT"
+        s.flip = 1
+        with pytest.raises(RuntimeError, match="violates the assumption"):
+            s.probe(1)
 
 
 # ------------------------------------------------- golden SolveStats corpus
