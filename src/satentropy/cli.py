@@ -16,7 +16,7 @@ from . import benchgen, pipeline
 from .cnf import DimacsError, parse_dimacs
 from .counter import BudgetExceeded, CountBudget, count_models
 from .entropy import UnsatisfiableFormula, profile_formula
-from .solver import SolverConfig, solve
+from .solver import solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,11 +55,11 @@ def _cmd_profile(args) -> int:
 
 def _cmd_solve(args) -> int:
     formula = _read_formula(args.file)
-    config = SolverConfig(
-        restart=pipeline.parse_restart(args.restart),
-        deletion=pipeline.parse_keep(args.keep),
-        decay=args.decay,
-        reduce_interval=args.reduce_interval,
+    # the heuristic flags are the config keys; SolverConfig holds the
+    # defaults of the flags not given
+    given = {key: getattr(args, key) for key in pipeline.CONFIG_KEYS}
+    config = pipeline.config_from_spec(
+        {key: value for key, value in given.items() if value is not None},
         seed=args.seed,
         conflict_budget=args.conflict_budget,
     )
@@ -76,25 +76,26 @@ def _cmd_solve(args) -> int:
     return EXIT_BUDGET
 
 
+# argparse types; argparse names the option and the value it rejects
+def int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+def target_clauses(text: str) -> dict[int, int]:
+    return {int(t): int(m) for t, m in (p.split("=") for p in text.split(","))}
+
+
 def _cmd_gen(args) -> int:
-    targets = [int(t) for t in args.backbones.split(",")]
-    clauses_per_target = None
-    if args.clauses_per_bucket:
-        pairs = [p.split("=") for p in args.clauses_per_bucket.split(",")]
-        clauses_per_target = {int(t): int(m) for t, m in pairs}
-    force_targets = (
-        {int(t) for t in args.force.split(",")} if args.force else None
-    )
     rows = benchgen.build_suite(
-        targets=targets,
+        targets=args.backbones,
         per_bucket=args.per_bucket,
         num_vars=args.vars,
         seed=args.seed,
         out_dir=args.out,
-        clauses_per_target=clauses_per_target,
+        clauses_per_target=args.clauses_per_bucket,
         clause_ratio=args.ratio,
         max_attempts=args.max_attempts,
-        force_targets=force_targets,
+        force_targets=set(args.force or ()),
         tune_clauses=args.tune_clauses,
     )
     print(f"wrote {len(rows)} instances to {args.out}", file=sys.stderr)
@@ -104,27 +105,20 @@ def _cmd_gen(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.action == "run":
-        overrides = (
-            pipeline.load_solver_defaults(args.config) if args.config else None
-        )
+        overrides = pipeline.load_solver_defaults(args.config) if args.config else {}
+        if args.reduce_interval is not None:
+            overrides["reduce_interval"] = args.reduce_interval
         plan = pipeline.make_plan(
-            args.plan,
-            args.runs_per_formula,
-            args.seed,
-            args.reduce_interval,
-            base_overrides=overrides,
+            args.plan, args.runs_per_formula, args.seed, base_overrides=overrides
         )
         records = pipeline.run_experiment(
             plan, args.suite, args.out, jobs=args.jobs, k=args.k
         )
-        pipeline.emit_report(plan, records, args.out, k=args.k, seed=args.seed)
+        pipeline.report(args.out)
         print(f"{len(records)} records in {args.out}", file=sys.stderr)
         print(str(Path(args.out) / "records.jsonl"))
         return EXIT_OK
-    # report: plan, seed and k come from the run's run.json
-    plan, k = pipeline.load_run(args.indir)
-    records = pipeline.load_records(args.indir)
-    pipeline.emit_report(plan, records, args.indir, k=k, seed=plan.seed)
+    pipeline.report(args.indir)
     print(str(Path(args.indir) / "records.csv"))
     return EXIT_OK
 
@@ -169,23 +163,26 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="run the CDCL solver")
     p.add_argument("file")
-    p.add_argument("--restart", default="luby:100", help="luby:N or glucose:W:M")
-    p.add_argument("--keep", default="lbd:5", help="lbd:N or size:N")
-    p.add_argument("--decay", type=float, default=0.95)
-    p.add_argument("--reduce-interval", type=int, default=2000)
+    p.add_argument("--restart", help="luby:N or glucose:W:M")
+    p.add_argument("--keep", help="lbd:N or size:N")
+    p.add_argument("--decay", type=float)
+    p.add_argument("--reduce-interval", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conflict-budget", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("gen", help="generate a backbone-controlled 3-SAT suite")
     p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--backbones", required=True, help="comma-separated targets")
+    p.add_argument(
+        "--backbones", type=int_list, required=True, help="comma-separated targets"
+    )
     p.add_argument("--per-bucket", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ratio", type=float, default=4.25)
     p.add_argument(
         "--clauses-per-bucket",
+        type=target_clauses,
         default=None,
         help="per-target clause counts, e.g. 2=70,18=92",
     )
@@ -195,7 +192,9 @@ def build_parser() -> _Parser:
         action="store_true",
         help="pick a per-bucket clause count that makes the target common",
     )
-    p.add_argument("--force", default=None, help="targets to pin via unit clauses")
+    p.add_argument(
+        "--force", type=int_list, default=None, help="targets to pin via unit clauses"
+    )
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("experiment", help="run or re-report an experiment")

@@ -82,9 +82,9 @@ def _restart_spec(policy) -> str:
     return policy.label()
 
 
-# config key -> (SolverConfig field, parser); key=value config files and
-# the configs in run.json share these keys
-_CONFIG_KEYS = {
+# config key -> (SolverConfig field, parser); key=value config files, the
+# configs in run.json and the solve command's flags share these keys
+CONFIG_KEYS = {
     "restart": ("restart", parse_restart),
     "keep": ("deletion", parse_keep),
     "decay": ("decay", float),
@@ -95,10 +95,19 @@ _CONFIG_KEYS = {
 def _setting(key: str, value) -> tuple[str, object]:
     """(SolverConfig field, parsed value) of one config key; ValueError on
     an unknown key or a bad value."""
-    if key not in _CONFIG_KEYS:
+    if key not in CONFIG_KEYS:
         raise ValueError(f"unknown key {key!r}")
-    field, parse = _CONFIG_KEYS[key]
+    field, parse = CONFIG_KEYS[key]
     return field, parse(value)
+
+
+def config_from_spec(spec: dict, **fields) -> SolverConfig:
+    """The SolverConfig that spec's config keys (and any other SolverConfig
+    fields given by name) set; SolverConfig's defaults fill the rest.
+    ValueError on an unknown key or a bad value."""
+    return SolverConfig(
+        **dict(_setting(key, value) for key, value in spec.items()), **fields
+    )
 
 
 def load_solver_defaults(path: str | Path) -> dict:
@@ -137,7 +146,6 @@ def make_plan(
     name: str,
     runs_per_formula: int = 5,
     seed: int = 0,
-    reduce_interval: int | None = None,
     base_overrides: dict | None = None,
 ) -> ExperimentPlan:
     """The built-in experiment plans.
@@ -149,19 +157,15 @@ def make_plan(
     hardness: single configuration, conflicts vs entropy/density
 
     Deletion-criterion plans only differentiate once database reduction
-    actually fires; on small instances pass a reduce_interval well below
+    actually fires; on small instances set a reduce_interval well below
     the typical conflict count.
 
     base_overrides (e.g. from load_solver_defaults) adjusts the shared
     dimensions; the dimension under test always keeps its paired values.
-    A reduce_interval given here wins over one in base_overrides; with
-    neither, SolverConfig's default holds.
     """
     if name not in PLAN_NAMES:
         raise ValueError(f"unknown plan {name!r}")
-    shared = dict(base_overrides or {})
-    if reduce_interval is not None:
-        shared["reduce_interval"] = reduce_interval
+    shared = base_overrides or {}
     if name == "hardness":
         config_a, config_b = SolverConfig(**shared), None
     else:
@@ -206,8 +210,12 @@ def _write_atomic(path: Path, text: str) -> None:
     as it is, with no newline translation."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_profile(path: Path, profile: FormulaProfile) -> None:
@@ -232,7 +240,7 @@ def ensure_profile(
 RUN_FILE = "run.json"
 # the run.json fields that fix what records.jsonl holds; k only sets the
 # report's bootstrap, so a rerun may change it
-_RUN_IDENTITY = ("plan", "config_a", "config_b", "seed", "runs_per_formula")
+_RUN_IDENTITY = ("plan", "config_a", "config_b", "seed", "runs_per_formula", "suite")
 
 
 def _config_spec(config: SolverConfig) -> dict:
@@ -246,28 +254,25 @@ def _config_spec(config: SolverConfig) -> dict:
     }
 
 
-def _config_from_spec(spec: dict) -> SolverConfig:
-    return SolverConfig(**dict(_setting(key, value) for key, value in spec.items()))
-
-
-def _run_spec(plan: ExperimentPlan, k: int) -> dict:
+def _run_spec(plan: ExperimentPlan, k: int, suite: str | None) -> dict:
     return {
         "plan": plan.name,
         "config_a": _config_spec(plan.config_a),
         "config_b": _config_spec(plan.config_b) if plan.config_b else None,
         "seed": plan.seed,
         "runs_per_formula": plan.runs_per_formula,
+        "suite": suite,
         "k": k,
         "satentropy_version": __version__,
         "python_version": "%d.%d.%d" % sys.version_info[:3],
     }
 
 
-def write_run(out_dir: str | Path, plan: ExperimentPlan, k: int) -> None:
-    """Write run.json: the plan, its configs, seed, runs per formula and the
-    report's bootstrap k. It holds no paths or times, so identical runs
-    write identical bytes."""
-    text = json.dumps(_run_spec(plan, k), sort_keys=True, indent=1) + "\n"
+def write_run(out_dir: str | Path, plan: ExperimentPlan, k: int, suite: str) -> None:
+    """Write run.json: the plan, its configs, seed, runs per formula, the
+    suite's digest and the report's bootstrap k. It holds no paths or
+    times, so identical runs write identical bytes."""
+    text = json.dumps(_run_spec(plan, k, suite), sort_keys=True, indent=1) + "\n"
     _write_atomic(Path(out_dir) / RUN_FILE, text)
 
 
@@ -279,8 +284,8 @@ def load_run(out_dir: str | Path) -> tuple[ExperimentPlan, int]:
         config_b = spec["config_b"]
         plan = ExperimentPlan(
             spec["plan"],
-            _config_from_spec(spec["config_a"]),
-            _config_from_spec(config_b) if config_b is not None else None,
+            config_from_spec(spec["config_a"]),
+            config_from_spec(config_b) if config_b is not None else None,
             spec["runs_per_formula"],
             spec["seed"],
         )
@@ -289,13 +294,16 @@ def load_run(out_dir: str | Path) -> tuple[ExperimentPlan, int]:
         raise ValueError(f"{path}: not a run description ({e!r})") from None
 
 
-def _claim_run(out: Path, plan: ExperimentPlan, k: int) -> None:
+def _claim_run(out: Path, plan: ExperimentPlan, k: int, suite: str) -> None:
     """Write run.json for this run. A directory that already holds another
-    run's records is refused: run.json differs in a field other than k, or
-    records.jsonl exists without run.json."""
+    run's records is refused: run.json differs in a field other than k (a
+    run.json without a suite digest differs in it), or records.jsonl exists
+    without run.json."""
     if (out / RUN_FILE).exists():
-        recorded = _run_spec(*load_run(out))
-        wanted = _run_spec(plan, k)
+        recorded = _run_spec(
+            *load_run(out), json.loads((out / RUN_FILE).read_text()).get("suite")
+        )
+        wanted = _run_spec(plan, k, suite)
         for key in _RUN_IDENTITY:
             if recorded[key] != wanted[key]:
                 raise ValueError(
@@ -308,7 +316,7 @@ def _claim_run(out: Path, plan: ExperimentPlan, k: int) -> None:
             f"{out} holds records.jsonl but no {RUN_FILE}, so the run that "
             "wrote them is unknown; write to a new directory"
         )
-    write_run(out, plan, k)
+    write_run(out, plan, k, suite)
 
 
 # ------------------------------------------------------------ running
@@ -373,12 +381,17 @@ def run_experiment(
 ) -> list[dict]:
     """Run the plan over every suite formula; append records to
     records.jsonl under out_dir in manifest order, each as soon as it is
-    done. Writes run.json (with the report's bootstrap k) first and refuses
-    a directory that holds another run. Resumable: recorded formulas are
-    skipped. Returns all records sorted by formula_id."""
+    done. Writes run.json (with the suite's digest and the report's
+    bootstrap k) first and refuses a directory that holds another run.
+    Resumable: recorded formulas are skipped. Returns all records sorted by
+    formula_id."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _claim_run(out, plan, k)
+    manifest = sorted(load_suite(suite_dir), key=lambda r: r["formula_id"])
+    # the manifest names every formula by content hash and holds no path,
+    # so a byte-identical copy of the suite is the same suite
+    suite = hashlib.sha256((Path(suite_dir) / "manifest.csv").read_bytes())
+    _claim_run(out, plan, k, suite.hexdigest())
     records_path = out / "records.jsonl"
 
     existing: dict[str, dict] = {}
@@ -388,7 +401,6 @@ def run_experiment(
             os.truncate(records_path, complete)
         existing = {rec["formula_id"]: rec for rec in records}
 
-    manifest = sorted(load_suite(suite_dir), key=lambda r: r["formula_id"])
     todo = [
         (suite_dir, row["path"], row["formula_id"], plan)
         for row in manifest
@@ -441,17 +453,6 @@ def load_records(out_dir: str | Path) -> list[dict]:
 
 
 # ----------------------------------------------------------- analysis
-
-def hardness_regression(
-    records: list[dict], measure: str, config_label: str
-) -> stats.RegressionResult:
-    """OLS of standardized conflicts on the standardized measure."""
-    if len(records) < 30:
-        raise ValueError("hardness regression needs at least 30 records")
-    xs = stats.standardize([r[measure] for r in records])
-    ys = stats.standardize([r["conflicts"][config_label] for r in records])
-    return stats.ols(xs, ys)
-
 
 @dataclass(frozen=True)
 class PlotPoint:
@@ -595,10 +596,6 @@ def aligned_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    _write_atomic(path, csv_text(rows))
-
-
 def emit_report(
     plan: ExperimentPlan,
     records: list[dict],
@@ -607,12 +604,13 @@ def emit_report(
     seed: int = 0,
 ) -> list[Path]:
     """Write records CSV, per-measure plot CSVs, the paired-comparison table
-    (for two-config plans) and the per-config hardness table."""
+    (for two-config plans), the per-config hardness table and the
+    entropy-density check, and return their paths. Every file is rendered
+    before the first is written, so a statistic that fails leaves the old
+    report as it was."""
     if not records:
         raise ValueError("empty record set: nothing to report")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    files: dict[str, str] = {}
 
     labels = [plan.label_a] + ([plan.label_b] if plan.label_b else [])
 
@@ -627,9 +625,7 @@ def emit_report(
         for label in labels:
             row[f"conflicts[{label}]"] = f"{r['conflicts'][label]:.12g}"
         rec_rows.append(row)
-    p = out / "records.csv"
-    _write_csv(p, rec_rows)
-    written.append(p)
+    files["records.csv"] = csv_text(rec_rows)
 
     for measure in ("entropy", "density"):
         if plan.label_b:
@@ -643,50 +639,49 @@ def emit_report(
             {"x": f"{pt.x:.2f}", "y": f"{pt.y:.12g}", "count": pt.count}
             for pt in points
         ]
-        p = out / f"{stem}.csv"
-        _write_csv(p, rows)
-        written.append(p)
+        files[f"{stem}.csv"] = csv_text(rows)
         if trend is not None:
-            tp = out / f"{stem}_trend.csv"
-            _write_csv(
-                tp,
+            files[f"{stem}_trend.csv"] = csv_text(
                 [
                     {
                         "beta": f"{trend.beta:.12g}",
                         "intercept": f"{trend.intercept:.12g}",
                         "p_two_sided": _fmt_p(trend.p_two_sided),
                     }
-                ],
+                ]
             )
-            written.append(tp)
 
     if plan.label_b:
         table = comparison_table(records, plan.label_a, plan.label_b, k, seed)
-        p = out / "comparison_table.csv"
-        _write_csv(p, table)
-        _write_atomic(out / "comparison_table.txt", aligned_text(table))
-        written += [p, out / "comparison_table.txt"]
+        files["comparison_table.csv"] = csv_text(table)
+        files["comparison_table.txt"] = aligned_text(table)
 
     htable = hardness_table(records, labels, k, seed)
-    p = out / "hardness_table.csv"
-    _write_csv(p, htable)
-    _write_atomic(out / "hardness_table.txt", aligned_text(htable))
-    written += [p, out / "hardness_table.txt"]
+    files["hardness_table.csv"] = csv_text(htable)
+    files["hardness_table.txt"] = aligned_text(htable)
 
     # cross-measure check: are entropy and density themselves correlated?
     e = stats.standardize([r["entropy"] for r in records])
     d = stats.standardize([r["density"] for r in records])
     xm = stats.ols(e, d)
-    p = out / "cross_measure.csv"
-    _write_csv(
-        p,
+    files["cross_measure.csv"] = csv_text(
         [
             {
                 "beta_ci": _fmt_ci(xm.ci95),
                 "beta": f"{xm.beta:.12g}",
                 "p_two_sided": _fmt_p(xm.p_two_sided),
             }
-        ],
+        ]
     )
-    written.append(p)
-    return written
+
+    paths = [Path(out_dir) / name for name in files]
+    for path, text in zip(paths, files.values()):
+        _write_atomic(path, text)
+    return paths
+
+
+def report(out_dir: str | Path) -> list[Path]:
+    """Emit the report of the run in out_dir from its run.json and
+    records.jsonl alone, and return the report's paths."""
+    plan, k = load_run(out_dir)
+    return emit_report(plan, load_records(out_dir), out_dir, k=k, seed=plan.seed)

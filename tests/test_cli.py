@@ -1,8 +1,11 @@
 import csv
 import json
+import shutil
 
 import pytest
 
+from satentropy import pipeline
+from satentropy.benchgen import gen_random_3sat
 from satentropy.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -11,6 +14,8 @@ from satentropy.cli import (
     EXIT_USAGE,
     main,
 )
+from satentropy.cnf import parse_dimacs, write_dimacs
+from satentropy.solver import SolverConfig, solve
 
 
 @pytest.fixture
@@ -95,6 +100,31 @@ class TestSolve:
     def test_bad_restart_spec(self, sat_file, capsys):
         assert main(["solve", sat_file, "--restart", "bogus"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [],
+            ["decay = 0.6"],
+            ["restart = glucose:40:0.7", "keep = size:9", "reduce_interval = 30"],
+        ],
+    )
+    def test_flags_mean_what_config_keys_mean(self, tmp_path, capsys, lines):
+        # flags not given take SolverConfig's defaults, as in a config file
+        path = tmp_path / "f.cnf"
+        path.write_text(write_dimacs(gen_random_3sat(70, 298, 5)))
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        argv = ["solve", str(path)]
+        for line in lines:
+            key, _, value = line.partition(" = ")
+            argv += ["--" + key.replace("_", "-"), value]
+        main(argv)
+        config = SolverConfig(**pipeline.load_solver_defaults(cfg))
+        st = solve(parse_dimacs(path.read_text()), config)
+        assert st.conflicts > 50
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == json.dumps(st.to_dict(), sort_keys=True)
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -111,6 +141,26 @@ class TestUsage:
         assert main(["count", str(p)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "literal 3" in err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--backbones", "2,x"),
+            ("--per-bucket", "x"),
+            ("--clauses-per-bucket", "2:70"),
+            ("--clauses-per-bucket", "2=x"),
+            ("--force", "2,"),
+        ],
+    )
+    def test_malformed_gen_option_is_usage_error(self, tmp_path, capsys, option, value):
+        argv = ["gen", "--vars", "10", "--backbones", "2", "--per-bucket", "1"]
+        argv += ["--seed", "3", "--out", str(tmp_path / "suite"), option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {option}: ") and repr(value) in err
+        assert not (tmp_path / "suite").exists()
 
 
 GEN_SMALL = ["gen", "--vars", "10", "--backbones", "2,4", "--per-bucket", "2"]
@@ -307,6 +357,29 @@ class TestGenAndExperiment:
         assert capsys.readouterr().err == ""
         assert _files(res) == before
 
+    @pytest.mark.parametrize("plan", pipeline.PLAN_NAMES)
+    def test_report_reproduces_every_plan_run(self, small_suite, tmp_path, plan):
+        res = tmp_path / "res"
+        argv = _run_args(small_suite, res, "--plan", plan, "--reduce-interval", "20")
+        assert main(argv) == EXIT_OK
+        before = _files(res)
+        for name in before:
+            (res / name).unlink()
+        (res / "run.json").write_bytes(before["run.json"])
+        (res / "records.jsonl").write_bytes(before["records.jsonl"])
+        assert main(["experiment", "report", "--in", str(res)]) == EXIT_OK
+        assert _files(res) == before
+
+    def test_reduce_interval_argument_wins(self, small_suite, tmp_path):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("reduce_interval = 500\n")
+        res = tmp_path / "res"
+        argv = _run_args(small_suite, res, "--config", str(cfg))
+        assert main(argv + ["--reduce-interval", "50"]) == EXIT_OK
+        spec = json.loads((res / "run.json").read_text())
+        assert spec["config_a"]["reduce_interval"] == 50
+        assert spec["config_b"]["reduce_interval"] == 50
+
     def test_config_file_reduce_interval_reaches_run_json(self, small_suite, tmp_path):
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("reduce_interval = 50\n")
@@ -359,6 +432,41 @@ class TestGenAndExperiment:
         assert f"records {field} " in err and "unexpected" not in err
         assert _files(res) == files
 
+    def test_rerun_with_another_suite_is_refused(self, small_suite, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(GEN_SMALL + ["--seed", "4", "--out", str(other)]) == EXIT_OK
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        files = _files(res)
+        capsys.readouterr()
+        assert main(_run_args(other, res)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "records suite " in err
+        assert _files(res) == files
+
+        # a run.json without the suite's digest is another run too
+        spec = json.loads(files["run.json"])
+        del spec["suite"]
+        (res / "run.json").write_text(json.dumps(spec))
+        assert main(_run_args(small_suite, res)) == EXIT_ERROR
+        assert "records suite null, not " in capsys.readouterr().err
+
+    def test_rerun_with_a_copy_of_the_suite_resumes(
+        self, small_suite, tmp_path, monkeypatch
+    ):
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res)) == EXIT_OK
+        files = _files(res)
+        copy = tmp_path / "copy"
+        shutil.copytree(small_suite, copy)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a recorded formula")
+
+        monkeypatch.setattr(pipeline, "solve", no_solve)
+        assert main(_run_args(copy, res)) == EXIT_OK
+        assert _files(res) == files
+
     def test_rerun_with_another_k_reports_without_solving(
         self, small_suite, tmp_path, monkeypatch
     ):
@@ -366,8 +474,6 @@ class TestGenAndExperiment:
         assert main(_run_args(small_suite, res, "--k", "20")) == EXIT_OK
         assert main(_run_args(small_suite, fresh, "--k", "30")) == EXIT_OK
         records = (res / "records.jsonl").read_bytes()
-
-        from satentropy import pipeline
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved a recorded formula")
@@ -417,8 +523,6 @@ class TestGenAndExperiment:
         assert "records.jsonl:2: malformed record" in capsys.readouterr().err
 
     def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
-        from satentropy import pipeline
-
         cache = tmp_path / "cache"
         monkeypatch.setenv(pipeline.CACHE_DIR_ENV, str(cache))
         suite = tmp_path / "suite"

@@ -19,7 +19,6 @@ from satentropy.pipeline import (
     PlotPoint,
     aggregate_plot,
     emit_report,
-    hardness_regression,
     load_records,
     make_plan,
     run_experiment,
@@ -246,6 +245,9 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
 
+SUITE = hashlib.sha256(b"manifest").hexdigest()
+
+
 class TestRunFile:
     OVERRIDES = {
         "restart": pipeline.parse_restart("glucose:50:0.8123457"),
@@ -257,13 +259,13 @@ class TestRunFile:
         for name in pipeline.PLAN_NAMES:
             for base in (None, self.OVERRIDES):
                 plan = make_plan(name, runs_per_formula=3, seed=11, base_overrides=base)
-                pipeline.write_run(tmp_path, plan, 250)
+                pipeline.write_run(tmp_path, plan, 250, SUITE)
                 assert pipeline.load_run(tmp_path) == (plan, 250), (name, base)
 
     def test_round_trip_is_exact_where_labels_round(self, tmp_path):
         plan = make_plan("deletion", base_overrides=self.OVERRIDES)
         assert plan.label_a == "glucose:50:0.812346|lbd:5|decay:0.987654"
-        pipeline.write_run(tmp_path, plan, 10)
+        pipeline.write_run(tmp_path, plan, 10, SUITE)
         loaded, _ = pipeline.load_run(tmp_path)
         for config in (loaded.config_a, loaded.config_b):
             assert config.restart.margin == 0.8123457
@@ -271,7 +273,7 @@ class TestRunFile:
 
     def test_contents_are_fixed_by_the_plan_and_k(self, tmp_path):
         plan = make_plan("decay", runs_per_formula=2, seed=7)
-        pipeline.write_run(tmp_path, plan, 50)
+        pipeline.write_run(tmp_path, plan, 50, SUITE)
         text = (tmp_path / "run.json").read_text()
         assert str(tmp_path) not in text
         spec = json.loads(text)
@@ -281,8 +283,9 @@ class TestRunFile:
         assert (spec["plan"], spec["seed"], spec["runs_per_formula"], spec["k"]) == (
             "decay", 7, 2, 50
         )
+        assert spec["suite"] == SUITE
         assert set(spec) == {
-            "plan", "config_a", "config_b", "seed", "runs_per_formula", "k",
+            "plan", "config_a", "config_b", "seed", "runs_per_formula", "suite", "k",
             "satentropy_version", "python_version",
         }
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
@@ -301,31 +304,6 @@ class TestRunFile:
         with pytest.raises(ZeroDivisionError):
             run_experiment(plan, suite_dir, tmp_path, k=40)
         assert pipeline.load_run(tmp_path) == (plan, 40)
-
-
-class TestHardnessRegression:
-    def test_planted_slope_recovered(self):
-        records = synthetic_records(n=500, slope=-80.0, seed=1)
-        r = hardness_regression(records, "entropy", "a")
-        # standardized slope: back-transform and compare to the planted value
-        es = [rec["entropy"] for rec in records]
-        cs = [rec["conflicts"]["a"] for rec in records]
-        from satentropy.stats import sample_std
-
-        back = r.beta * sample_std(cs) / sample_std(es)
-        assert back == pytest.approx(-80.0, rel=0.1)
-        assert r.p_two_sided < 1e-10
-
-    def test_constant_conflicts_flat(self):
-        records = synthetic_records(n=50, slope=0.0, seed=2)
-        for rec in records:
-            rec["conflicts"]["a"] = 100.0
-        with pytest.raises(ValueError):
-            hardness_regression(records, "entropy", "a")
-
-    def test_too_few_records(self):
-        with pytest.raises(ValueError, match="at least 30"):
-            hardness_regression(synthetic_records(n=10), "entropy", "a")
 
 
 class TestAggregatePlot:
@@ -452,13 +430,6 @@ class TestSolverDefaultsFile:
         assert plan.config_b.restart.window == 50
         assert plan.config_a.decay == 0.8
 
-    def test_reduce_interval_argument_wins(self, tmp_path):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("reduce_interval = 500\n")
-        overrides = pipeline.load_solver_defaults(cfg)
-        plan = make_plan("decay", reduce_interval=50, base_overrides=overrides)
-        assert plan.config_a.reduce_interval == 50
-
     def test_bad_lines_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("decay 0.9\n")
@@ -580,10 +551,18 @@ class TestGoldenReport:
         monkeypatch.setattr(pathlib.Path, "write_text", torn)
         with pytest.raises(OSError):
             emit_report(plan, self.records(plan, "synthetic"), tmp_path, k=10, seed=0)
-        after = {
-            p.name: p.read_bytes() for p in tmp_path.iterdir() if not p.name.startswith(".")
-        }
-        assert after == before
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_failing_statistic_leaves_the_old_report(self, tmp_path):
+        plan = make_plan("decay")
+        emit_report(plan, self.records(plan, "small"), tmp_path, k=10, seed=0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        records = self.records(plan, "synthetic")
+        for rec in records:
+            rec["density"] = 0.5
+        with pytest.raises(ValueError, match="constant"):
+            emit_report(plan, records, tmp_path, k=10, seed=0)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_small_records_skip_degenerate_resamples(self):
         plan = make_plan("decay")
