@@ -4,22 +4,22 @@ Instances are drawn uniformly and filtered by rejection: unsatisfiable
 draws are discarded, and a draw is accepted only when its backbone has
 exactly the requested number of variables. An optional force mode pins
 extreme backbone targets by appending unit clauses consistent with one
-model of the base formula; forced instances are flagged in the manifest
-because planting changes the distribution.
+model of the base formula; planting changes the distribution, so suites
+flag forced instances in their manifest.
+
+This module only draws formulas and does no file I/O;
+pipeline.build_suite writes them out as a suite.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
-from .cnf import Clause, CnfFormula, content_hash, write_dimacs
+from .cnf import Clause, CnfFormula
 from .counter import find_model
-from .entropy import UnsatisfiableFormula, backbone_size, profile_formula
-from .pipeline import _profile_dir, write_profile
+from .entropy import UnsatisfiableFormula, backbone_size
 
 
 class BackboneSearchExhausted(RuntimeError):
@@ -123,78 +123,3 @@ def tuned_clause_counts(num_vars: int, targets: list[int]) -> dict[int, int]:
         t: max(num_vars, round(num_vars * (3.4 + 1.05 * t / num_vars)))
         for t in targets
     }
-
-
-def build_suite(
-    targets: list[int],
-    per_bucket: int,
-    num_vars: int,
-    seed: int,
-    out_dir: str | Path,
-    clauses_per_target: dict[int, int] | None = None,
-    clause_ratio: float = 4.25,
-    max_attempts: int = 100_000,
-    force_targets: set[int] | None = None,
-    tune_clauses: bool = False,
-) -> list[dict]:
-    """Generate per_bucket instances per backbone bucket, write DIMACS files
-    and a manifest.csv, and return the manifest rows.
-
-    Each accepted instance is re-profiled exactly, and the profile's
-    backbone count is checked against the bucket target. Profiles are
-    stored as JSON sidecars under out_dir/profiles/, or under
-    $SATENTROPY_CACHE_DIR when it is set, where experiment runs look.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    force_targets = force_targets or set()
-
-    rows = []
-    default_clauses = round(num_vars * clause_ratio)
-    if clauses_per_target is None and tune_clauses:
-        clauses_per_target = tuned_clause_counts(num_vars, targets)
-    for target in targets:
-        num_clauses = (clauses_per_target or {}).get(target, default_clauses)
-        for i in range(per_bucket):
-            spec = BenchSpec(
-                num_vars=num_vars,
-                num_clauses=num_clauses,
-                target_backbone=target,
-                seed=seed + 7919 * target + i,
-                max_attempts=max_attempts,
-            )
-            formula, attempts = gen_with_backbone(
-                spec, force=target in force_targets
-            )
-            profile = profile_formula(formula)
-            if profile.backbone_count != target:
-                raise AssertionError(
-                    f"accepted instance has backbone {profile.backbone_count}, "
-                    f"expected {target}"
-                )
-            fid = content_hash(formula)
-            fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
-            (out / fname).write_text(write_dimacs(formula))
-            write_profile(_profile_dir(out) / f"{fid}.json", profile)
-            rows.append(
-                {
-                    "file": fname,
-                    "formula_id": fid,
-                    "seed": spec.seed,
-                    "num_vars": formula.num_vars,
-                    "num_clauses": formula.num_clauses,
-                    "backbone": target,
-                    "entropy": profile.entropy,
-                    "density": profile.density,
-                    "model_count": profile.model_count,
-                    "forced": int(target in force_targets),
-                    "attempts": attempts,
-                }
-            )
-
-    with (out / "manifest.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    return rows
-

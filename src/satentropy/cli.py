@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import benchgen, pipeline
+from . import pipeline
 from .cnf import DimacsError, parse_dimacs
 from .counter import BudgetExceeded, CountBudget, count_models
 from .entropy import UnsatisfiableFormula, profile_formula
@@ -86,7 +86,7 @@ def target_clauses(text: str) -> dict[int, int]:
 
 
 def _cmd_gen(args) -> int:
-    rows = benchgen.build_suite(
+    rows = pipeline.build_suite(
         targets=args.backbones,
         per_bucket=args.per_bucket,
         num_vars=args.vars,

@@ -1,6 +1,10 @@
 """Experiment orchestration: run paired solver configurations over a
 generated suite, persist per-formula records, and emit plot data and
-regression tables."""
+regression tables.
+
+This module also owns the suite format: build_suite writes a suite's
+DIMACS files, manifest.csv and profile sidecars, and load_suite,
+load_profile and run_experiment read them back."""
 
 from __future__ import annotations
 
@@ -16,7 +20,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__, stats
-from .cnf import CnfFormula, parse_dimacs
+from .benchgen import BenchSpec, gen_with_backbone, tuned_clause_counts
+from .cnf import CnfFormula, content_hash, parse_dimacs, write_dimacs
 from .entropy import FormulaProfile, profile_formula
 from .solver import (
     GlucoseRestarts,
@@ -183,22 +188,26 @@ def load_suite(suite_dir: str | Path) -> list[dict]:
     manifest = suite / "manifest.csv"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.csv in {suite}")
-    rows = []
+    rows, seen = [], set()
     with manifest.open(newline="") as fh:
         for row in csv.DictReader(fh):
+            if row["formula_id"] in seen:
+                raise ValueError(f"{manifest} names formula {row['formula_id']} twice")
+            seen.add(row["formula_id"])
             row["path"] = str(suite / row["file"])
             rows.append(row)
     return rows
 
 
-def _profile_dir(suite_dir: str | Path) -> Path:
+def _profile_path(suite_dir: str | Path, formula_id: str) -> Path:
     # the env var relocates the profile cache away from the suite directory
     override = os.environ.get(CACHE_DIR_ENV)
-    return Path(override) if override else Path(suite_dir) / "profiles"
+    profiles = Path(override) if override else Path(suite_dir) / "profiles"
+    return profiles / f"{formula_id}.json"
 
 
 def load_profile(suite_dir: str | Path, formula_id: str) -> FormulaProfile | None:
-    p = _profile_dir(suite_dir) / f"{formula_id}.json"
+    p = _profile_path(suite_dir, formula_id)
     if not p.exists():
         return None
     return FormulaProfile.from_dict(json.loads(p.read_text()))
@@ -231,8 +240,99 @@ def ensure_profile(
     if cached is not None:
         return cached
     profile = profile_formula(formula)
-    write_profile(_profile_dir(suite_dir) / f"{formula_id}.json", profile)
+    write_profile(_profile_path(suite_dir, formula_id), profile)
     return profile
+
+
+def build_suite(
+    targets: list[int],
+    per_bucket: int,
+    num_vars: int,
+    seed: int,
+    out_dir: str | Path,
+    clauses_per_target: dict[int, int] | None = None,
+    clause_ratio: float = 4.25,
+    max_attempts: int = 100_000,
+    force_targets: set[int] | None = None,
+    tune_clauses: bool = False,
+) -> list[dict]:
+    """Generate per_bucket instances per backbone bucket, write DIMACS files
+    and a manifest.csv, and return the manifest rows. Every file is written
+    whole or not at all.
+
+    A bucket has round(num_vars * clause_ratio) clauses, or its
+    tuned_clause_counts value under tune_clauses, or its clauses_per_target
+    value where that names it. Each accepted instance is re-profiled
+    exactly, and the profile's backbone count is checked against the bucket
+    target. Profiles are stored as JSON sidecars under out_dir/profiles/,
+    or under $SATENTROPY_CACHE_DIR when it is set, where experiment runs
+    look.
+    """
+    out = Path(out_dir)
+    clauses_per_target = clauses_per_target or {}
+    force_targets = force_targets or set()
+    if per_bucket < 1 or not targets:
+        raise ValueError(
+            f"no instances to generate: targets {targets}, per_bucket {per_bucket}"
+        )
+    repeated = sorted({t for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise ValueError(f"backbone targets {repeated} are given more than once")
+    for what, named in (
+        ("clause counts are given", clauses_per_target),
+        ("force is asked", force_targets),
+    ):
+        stray = sorted(set(named) - set(targets))
+        if stray:
+            raise ValueError(
+                f"{what} for targets {stray}, which are not among the backbone "
+                f"targets {targets}"
+            )
+    num_clauses = dict.fromkeys(targets, round(num_vars * clause_ratio))
+    if tune_clauses:
+        num_clauses.update(tuned_clause_counts(num_vars, targets))
+    num_clauses.update(clauses_per_target)
+
+    rows = []
+    for target in targets:
+        for i in range(per_bucket):
+            spec = BenchSpec(
+                num_vars=num_vars,
+                num_clauses=num_clauses[target],
+                target_backbone=target,
+                seed=seed + 7919 * target + i,
+                max_attempts=max_attempts,
+            )
+            formula, attempts = gen_with_backbone(
+                spec, force=target in force_targets
+            )
+            profile = profile_formula(formula)
+            if profile.backbone_count != target:
+                raise AssertionError(
+                    f"accepted instance has backbone {profile.backbone_count}, "
+                    f"expected {target}"
+                )
+            fid = content_hash(formula)
+            fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
+            _write_atomic(out / fname, write_dimacs(formula))
+            write_profile(_profile_path(out, fid), profile)
+            rows.append(
+                {
+                    "file": fname,
+                    "formula_id": fid,
+                    "seed": spec.seed,
+                    "num_vars": formula.num_vars,
+                    "num_clauses": formula.num_clauses,
+                    "backbone": target,
+                    "entropy": profile.entropy,
+                    "density": profile.density,
+                    "model_count": profile.model_count,
+                    "forced": int(target in force_targets),
+                    "attempts": attempts,
+                }
+            )
+    _write_atomic(out / "manifest.csv", csv_text(rows))
+    return rows
 
 
 # ------------------------------------------------------------ run.json
@@ -331,6 +431,14 @@ def _formula_record(args) -> dict:
     each config over all runs, and its cached or fresh profile."""
     suite_dir, path, formula_id, plan = args
     formula = parse_dimacs(Path(path).read_text())
+    # the profile sidecar and the record are keyed by formula_id, so a file
+    # edited after gen would otherwise take the old formula's profile
+    found = content_hash(formula)
+    if found != formula_id:
+        raise ValueError(
+            f"{path} hashes to {found}, not to its manifest formula_id "
+            f"{formula_id}: the file changed after the suite was written"
+        )
     configs = [(plan.label_a, plan.config_a)]
     if plan.config_b is not None:
         configs.append((plan.label_b, plan.config_b))

@@ -117,6 +117,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must be strictly between 0 and 1")
+        if self.reduce_interval < 1:
+            raise ValueError(
+                f"reduce_interval must be at least 1, not {self.reduce_interval}"
+            )
 
     def label(self) -> str:
         return (

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from satentropy.benchgen import build_suite, gen_random_3sat
+from satentropy.benchgen import gen_random_3sat
 from satentropy.cnf import CnfFormula, evaluate, parse_dimacs, write_dimacs
 from satentropy.counter import count_conditioned, count_models, count_models_bruteforce
 from satentropy.entropy import profile_formula, variable_entropy
 from satentropy.pipeline import (
+    build_suite,
     emit_report,
     make_plan,
     run_experiment,

@@ -6,7 +6,6 @@ import pytest
 from satentropy.benchgen import (
     BackboneSearchExhausted,
     BenchSpec,
-    build_suite,
     gen_random_3sat,
     gen_with_backbone,
     tuned_clause_counts,
@@ -14,6 +13,7 @@ from satentropy.benchgen import (
 from satentropy.cnf import parse_dimacs
 from satentropy.counter import count_models, find_model
 from satentropy.entropy import profile_formula
+from satentropy.pipeline import build_suite
 
 
 class TestRandom3Sat:

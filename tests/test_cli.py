@@ -14,7 +14,7 @@ from satentropy.cli import (
     EXIT_USAGE,
     main,
 )
-from satentropy.cnf import parse_dimacs, write_dimacs
+from satentropy.cnf import CnfFormula, content_hash, parse_dimacs, write_dimacs
 from satentropy.solver import SolverConfig, solve
 
 
@@ -124,6 +124,20 @@ class TestSolve:
         assert st.conflicts > 50
         out = capsys.readouterr().out
         assert out.splitlines()[0] == json.dumps(st.to_dict(), sort_keys=True)
+
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_reduce_interval_below_one_is_refused(self, sat_file, tmp_path, capsys, value):
+        message = f"error: reduce_interval must be at least 1, not {value}\n"
+        assert main(["solve", sat_file, "--reduce-interval", value]) == EXIT_ERROR
+        assert capsys.readouterr().err == message
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"reduce_interval = {value}\n")
+        argv = ["experiment", "run", "--plan", "decay", "--suite", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "res"), "--config", str(cfg)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "res").exists()
 
 
 class TestUsage:
@@ -521,6 +535,65 @@ class TestGenAndExperiment:
         assert "records.jsonl:2: malformed record" in err
         assert main(["experiment", "report", "--in", str(res)]) == EXIT_ERROR
         assert "records.jsonl:2: malformed record" in capsys.readouterr().err
+
+    def test_tuned_buckets_keep_their_count_beside_given_ones(self, tmp_path):
+        suite = tmp_path / "suite"
+        argv = ["gen", "--vars", "12", "--backbones", "2,6", "--per-bucket", "1"]
+        argv += ["--seed", "5", "--tune-clauses", "--clauses-per-bucket", "2=46"]
+        assert main(argv + ["--out", str(suite)]) == EXIT_OK
+        clauses = {r["backbone"]: r["num_clauses"] for r in pipeline.load_suite(suite)}
+        assert clauses == {"2": "46", "6": "47"}  # 47 = round(12 * (3.4 + 1.05 / 2))
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--backbones", "2,4,2", "backbone targets [2] are given more than once"),
+            (
+                "--clauses-per-bucket",
+                "2=40,6=50",
+                "clause counts are given for targets [6], which are not among "
+                "the backbone targets [2, 4]",
+            ),
+            (
+                "--force",
+                "4,8",
+                "force is asked for targets [8], which are not among the "
+                "backbone targets [2, 4]",
+            ),
+            ("--per-bucket", "0", "no instances to generate: targets [2, 4], per_bucket 0"),
+        ],
+        ids=["repeated-target", "stray-clause-count", "stray-force", "no-instances"],
+    )
+    def test_bad_suite_request_is_refused(self, tmp_path, capsys, option, value, message):
+        suite = tmp_path / "suite"
+        assert main(GEN_SMALL + ["--out", str(suite), option, value]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not suite.exists()
+
+    def test_manifest_naming_a_formula_twice_is_refused(self, small_suite, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        shutil.copytree(small_suite, suite)
+        lines = (suite / "manifest.csv").read_bytes().splitlines(keepends=True)
+        (suite / "manifest.csv").write_bytes(b"".join(lines + lines[2:3]))
+        twice = pipeline.load_suite(small_suite)[1]["formula_id"]
+        assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {suite / 'manifest.csv'} names formula {twice} twice\n"
+        assert not (tmp_path / "res" / "records.jsonl").exists()
+
+    def test_formula_edited_after_gen_is_refused(self, small_suite, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        shutil.copytree(small_suite, suite)
+        row = min(pipeline.load_suite(suite), key=lambda r: r["formula_id"])
+        formula = parse_dimacs((suite / row["file"]).read_text())
+        edited = CnfFormula(formula.num_vars, formula.clauses[:-1])
+        (suite / row["file"]).write_text(write_dimacs(edited))
+        res = tmp_path / "res"
+        assert main(_run_args(suite, res)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {suite / row['file']} hashes to ")
+        assert content_hash(edited) in err and row["formula_id"] in err
+        assert (res / "records.jsonl").read_bytes() == b""
 
     def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from satentropy import pipeline, stats
-from satentropy.benchgen import build_suite
 from satentropy.cli import main
 from satentropy.cnf import parse_dimacs
 from satentropy.entropy import profile_formula
@@ -18,6 +17,7 @@ from satentropy.pipeline import (
     ExperimentPlan,
     PlotPoint,
     aggregate_plot,
+    build_suite,
     emit_report,
     load_records,
     make_plan,

@@ -244,6 +244,9 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(decay=1.0)
+        for interval in (0, -5):
+            with pytest.raises(ValueError, match="reduce_interval must be at least 1"):
+                SolverConfig(reduce_interval=interval)
         with pytest.raises(ValueError):
             LubyRestarts(0)
         with pytest.raises(ValueError):
