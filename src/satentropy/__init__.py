@@ -25,7 +25,6 @@ from .solver import (
     LubyRestarts,
     SolveStats,
     SolverConfig,
-    compute_lbd,
     glucose_restart_due,
     luby,
     reduce_database,
@@ -57,7 +56,6 @@ __all__ = [
     "LubyRestarts",
     "SolveStats",
     "SolverConfig",
-    "compute_lbd",
     "glucose_restart_due",
     "luby",
     "reduce_database",

@@ -44,6 +44,12 @@ class ExperimentPlan:
     runs_per_formula: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        if self.runs_per_formula < 1:
+            raise ValueError(
+                f"runs_per_formula must be at least 1, not {self.runs_per_formula}"
+            )
+
     @property
     def label_a(self) -> str:
         return self.config_a.label()
@@ -63,6 +69,11 @@ def parse_restart(spec: str):
         return LubyRestarts(int(rest) if rest else 100)
     if kind == "glucose":
         parts = rest.split(":") if rest else []
+        if len(parts) > 2:
+            raise ValueError(
+                f"restart policy {spec!r} has {len(parts)} fields after "
+                "'glucose:'; use glucose:W:M"
+            )
         window = int(parts[0]) if len(parts) > 0 and parts[0] else 50
         margin = float(parts[1]) if len(parts) > 1 else 0.8
         return GlucoseRestarts(window, margin)
@@ -266,7 +277,7 @@ def build_suite(
     exactly, and the profile's backbone count is checked against the bucket
     target. Profiles are stored as JSON sidecars under out_dir/profiles/,
     or under $SATENTROPY_CACHE_DIR when it is set, where experiment runs
-    look.
+    look. out_dir must be new or empty, so that it holds this suite alone.
     """
     out = Path(out_dir)
     clauses_per_target = clauses_per_target or {}
@@ -288,6 +299,10 @@ def build_suite(
                 f"{what} for targets {stray}, which are not among the backbone "
                 f"targets {targets}"
             )
+    if out.exists() and any(out.iterdir()):
+        raise ValueError(
+            f"{out} is not empty; write the suite to a new or empty directory"
+        )
     num_clauses = dict.fromkeys(targets, round(num_vars * clause_ratio))
     if tune_clauses:
         num_clauses.update(tuned_clause_counts(num_vars, targets))
@@ -490,9 +505,12 @@ def run_experiment(
     """Run the plan over every suite formula; append records to
     records.jsonl under out_dir in manifest order, each as soon as it is
     done. Writes run.json (with the suite's digest and the report's
-    bootstrap k) first and refuses a directory that holds another run.
+    bootstrap k) first and refuses a directory that holds another run, or
+    a k below 1.
     Resumable: recorded formulas are skipped. Returns all records sorted by
     formula_id."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, not {k}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = sorted(load_suite(suite_dir), key=lambda r: r["formula_id"])

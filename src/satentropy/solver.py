@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from dataclasses import dataclass
+from typing import Iterable, Union
 
 from .cnf import CnfFormula, evaluate
 
@@ -62,6 +62,9 @@ class GlucoseRestarts:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        # a NaN margin would compare false and silently never restart
+        if not 0.0 < self.margin < float("inf"):
+            raise ValueError(f"margin must be positive and finite, not {self.margin}")
 
     def label(self) -> str:
         return f"glucose:{self.window}:{self.margin:g}"
@@ -172,19 +175,6 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
-def compute_lbd(lits: Iterable[int], level_of: Callable[[int], int]) -> int:
-    """Number of distinct decision levels among the clause's literals.
-
-    The solver computes the same count inline from its level list."""
-    levels = set()
-    for l in lits:
-        lvl = level_of(abs(l))
-        if lvl is None:
-            raise ValueError(f"literal {l} is unassigned")
-        levels.add(lvl)
-    return len(levels)
-
-
 def glucose_restart_due(
     recent_lbds: Iterable[int], window: int, global_lbd_mean: float, margin: float
 ) -> bool:
@@ -201,18 +191,12 @@ class LearnedClauseMeta:
     """Bookkeeping for one learned clause."""
 
     lits: list[int]
-    lbd_current: int
     lbd_cut: int  # lowest LBD observed so far
     activity: float = 0.0
 
     @property
     def size(self) -> int:
         return len(self.lits)
-
-    def update_lbd(self, new_lbd: int):
-        self.lbd_current = new_lbd
-        if new_lbd < self.lbd_cut:
-            self.lbd_cut = new_lbd
 
 
 def reduce_database(
@@ -255,8 +239,9 @@ class _Solver:
         # -v at slot 2n + 1 - v by negative indexing
         self.value = [_UNASSIGNED] * (2 * self.n + 1)
         self.level = [0] * (self.n + 1)
-        self.reason: list[list[int] | None] = [None] * (self.n + 1)
-        self.reason_meta: list[LearnedClauseMeta | None] = [None] * (self.n + 1)
+        # reason[v]: the clause record that implied v, None for decisions
+        # and unit clauses
+        self.reason: list[tuple | None] = [None] * (self.n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -302,7 +287,7 @@ class _Solver:
     def current_level(self) -> int:
         return len(self.trail_lim)
 
-    def enqueue(self, lit: int, reason=None, meta=None) -> bool:
+    def enqueue(self, lit: int, reason=None) -> bool:
         val = self.value[lit]
         if val == 0:
             return False
@@ -312,14 +297,14 @@ class _Solver:
             self.value[-lit] = 0
             self.level[v] = self.current_level()
             self.reason[v] = reason
-            self.reason_meta[v] = meta
             self.trail.append(lit)
         return True
 
-    def watch(self, lits: list[int], meta):
+    def watch(self, lits: list[int], meta) -> tuple:
         rec = (lits, meta)
         self.watches[lits[0]].append(rec)
         self.watches[lits[1]].append(rec)
+        return rec
 
     def attach_all(self):
         self.watches = [[] for _ in range(2 * self.n + 1)]
@@ -337,7 +322,6 @@ class _Solver:
         watches = self.watches
         level = self.level
         reason = self.reason
-        reason_meta = self.reason_meta
         cur_level = len(self.trail_lim)
         qhead = self.qhead
         start = qhead
@@ -380,8 +364,7 @@ class _Solver:
                     value[first] = 1
                     value[-first] = 0
                     level[v] = cur_level
-                    reason[v] = lits
-                    reason_meta[v] = rec[1]
+                    reason[v] = rec
                     trail.append(first)
                     i += 1
             if conflict is not None:
@@ -438,7 +421,9 @@ class _Solver:
         while True:
             if meta is not None:
                 meta.activity += 1.0
-                meta.update_lbd(len({level[abs(l)] for l in meta.lits}))
+                lbd = len({level[abs(l)] for l in lits})
+                if lbd < meta.lbd_cut:
+                    meta.lbd_cut = lbd
             for l in lits:
                 if l == asserting:
                     continue
@@ -460,8 +445,7 @@ class _Solver:
             if counter == 0:
                 learned[0] = -p
                 break
-            lits = self.reason[abs(p)]
-            meta = self.reason_meta[abs(p)]
+            lits, meta = self.reason[abs(p)]
             asserting = p
 
         # backjump level: highest level among the non-asserting literals
@@ -483,7 +467,6 @@ class _Solver:
                 self.saved_phase[v] = lit > 0
                 value[lit] = value[-lit] = _UNASSIGNED
                 self.reason[v] = None
-                self.reason_meta[v] = None
             del self.trail[cut:]
             del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
@@ -534,7 +517,7 @@ class _Solver:
 
     def reduce_learned(self):
         protected = frozenset(
-            id(m) for m in self.reason_meta if m is not None
+            id(rec[1]) for rec in self.reason if rec is not None and rec[1] is not None
         )
         kept, deleted = reduce_database(self.learned, self.config.deletion, protected)
         if deleted:
@@ -553,7 +536,7 @@ class _Solver:
         if self.unsat:
             return self._stats("UNSAT", None)
         for u in self.units:
-            if not self.enqueue(u, None, None):
+            if not self.enqueue(u):
                 self.unsat = True
                 return self._stats("UNSAT", None)
         self.attach_all()
@@ -592,14 +575,11 @@ class _Solver:
                 self.backjump(bj)
                 self.record_lbd(lbd)
                 if len(learned) == 1:
-                    self.enqueue(learned[0], None, None)
+                    self.enqueue(learned[0])
                 else:
-                    meta = LearnedClauseMeta(
-                        lits=learned, lbd_current=lbd, lbd_cut=lbd, activity=1.0
-                    )
+                    meta = LearnedClauseMeta(lits=learned, lbd_cut=lbd, activity=1.0)
                     self.learned.append(meta)
-                    self.watch(learned, meta)
-                    self.enqueue(learned[0], learned, meta)
+                    self.enqueue(learned[0], self.watch(learned, meta))
                 self.decay_activities()
                 if (
                     self.config.conflict_budget is not None
@@ -622,7 +602,7 @@ class _Solver:
                 if val == _UNASSIGNED:
                     self.decisions += 1
                     self.trail_lim.append(len(self.trail))
-                    self.enqueue(assume, None, None)
+                    self.enqueue(assume)
                     continue
             v = self.pick_branch_var()
             if v is None:
@@ -637,7 +617,7 @@ class _Solver:
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
             lit = v if self.saved_phase[v] else -v
-            self.enqueue(lit, None, None)
+            self.enqueue(lit)
 
     def _stats(self, result: str, model) -> SolveStats:
         return SolveStats(

@@ -139,6 +139,34 @@ class TestSolve:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                "glucose:50:0.8:junk",
+                "restart policy 'glucose:50:0.8:junk' has 3 fields after "
+                "'glucose:'; use glucose:W:M",
+            ),
+            ("glucose:50:nan", "margin must be positive and finite, not nan"),
+            ("glucose:50:inf", "margin must be positive and finite, not inf"),
+            ("glucose:50:-3", "margin must be positive and finite, not -3.0"),
+            ("glucose:50:0", "margin must be positive and finite, not 0.0"),
+        ],
+        ids=["third-field", "nan-margin", "inf-margin", "negative-margin", "zero-margin"],
+    )
+    def test_bad_glucose_spec_is_refused(
+        self, sat_file, tmp_path, capsys, spec, message
+    ):
+        assert main(["solve", sat_file, "--restart", spec]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"restart = {spec}\n")
+        argv = ["experiment", "run", "--plan", "decay", "--suite", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "res"), "--config", str(cfg)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+        assert not (tmp_path / "res").exists()
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -195,6 +223,14 @@ def _run_args(suite, out, *extra):
 
 def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _tree(directory):
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
 
 
 class TestGenAndExperiment:
@@ -569,6 +605,45 @@ class TestGenAndExperiment:
         assert main(GEN_SMALL + ["--out", str(suite), option, value]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not suite.exists()
+
+    def test_gen_into_a_non_empty_directory_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        assert main(GEN_SMALL + ["--out", str(suite)]) == EXIT_OK
+        before = _tree(suite)
+        assert "manifest.csv" in before
+        assert any(name.startswith("profiles") for name in before)
+        capsys.readouterr()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a formula")
+
+        monkeypatch.setattr(pipeline, "gen_with_backbone", no_draw)
+        assert main(GEN_SMALL + ["--seed", "4", "--out", str(suite)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        message = "is not empty; write the suite to a new or empty directory"
+        assert err == f"error: {suite} {message}\n"
+        assert _tree(suite) == before
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--runs-per-formula", "0", "runs_per_formula must be at least 1, not 0"),
+            ("--runs-per-formula", "-2", "runs_per_formula must be at least 1, not -2"),
+            ("--k", "0", "k must be at least 1, not 0"),
+        ],
+        ids=["no-runs", "negative-runs", "no-resamples"],
+    )
+    def test_bad_run_parameter_is_refused_before_run_json(
+        self, small_suite, tmp_path, capsys, option, value, message
+    ):
+        res = tmp_path / "res"
+        argv = ["experiment", "run", "--plan", "decay", "--suite", str(small_suite)]
+        assert main(argv + ["--out", str(res), option, value]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not res.exists()
 
     def test_manifest_naming_a_formula_twice_is_refused(self, small_suite, tmp_path, capsys):
         suite = tmp_path / "suite"

@@ -14,7 +14,6 @@ from satentropy.solver import (
     LearnedClauseMeta,
     LubyRestarts,
     SolverConfig,
-    compute_lbd,
     glucose_restart_due,
     luby,
     reduce_database,
@@ -63,22 +62,6 @@ class TestLuby:
             luby(0)
 
 
-class TestLbd:
-    def test_distinct_levels(self):
-        levels = {1: 2, 2: 2, 3: 5, 4: 7}
-        assert compute_lbd([1, -2, 3, 4], lambda v: levels[v]) == 3
-
-    def test_single_level(self):
-        assert compute_lbd([1, 2, 3], lambda v: 4) == 1
-
-    def test_all_distinct(self):
-        assert compute_lbd([1, 2, 3, 4], lambda v: v) == 4
-
-    def test_unassigned_rejected(self):
-        with pytest.raises(ValueError, match="unassigned"):
-            compute_lbd([1], lambda v: None)
-
-
 class TestGlucoseTrigger:
     def test_fires_when_window_exceeds_global(self):
         assert glucose_restart_due([5, 5, 5], 3, 3.0, 0.8)
@@ -125,10 +108,7 @@ class TestLubyRestartLimit:
 class TestReduceDatabase:
     def make(self, lbd_cut, size, activity=0.0):
         return LearnedClauseMeta(
-            lits=list(range(1, size + 1)),
-            lbd_current=lbd_cut,
-            lbd_cut=lbd_cut,
-            activity=activity,
+            lits=list(range(1, size + 1)), lbd_cut=lbd_cut, activity=activity
         )
 
     def test_lbd_cut_keeps_unconditionally(self):
@@ -154,12 +134,34 @@ class TestReduceDatabase:
         )
         assert cs[0] in kept
 
-    def test_lbd_cut_monotone(self):
-        c = self.make(lbd_cut=6, size=10)
-        c.update_lbd(4)
-        assert c.lbd_cut == 4
-        c.update_lbd(9)
-        assert c.lbd_cut == 4
+    def test_solver_keeps_every_reason_clause(self):
+        # analyze resolves on the reasons of the trail's literals, so no
+        # reduction may delete a learned clause that is one; with a cut of 1
+        # and a reduction after every conflict, nearly every learned clause
+        # is a deletion candidate
+        protected, failures = [], []
+
+        class Checking(_Solver):
+            def reduce_learned(self):
+                super().reduce_learned()
+                learned = {id(m) for m in self.learned}
+                for lit in self.trail:
+                    rec = self.reason[abs(lit)]
+                    if rec is None or rec[1] is None:
+                        continue
+                    protected.append(rec)
+                    if id(rec[1]) not in learned or rec[0] is not rec[1].lits:
+                        failures.append((self.conflicts, lit))
+
+        deleted = 0
+        for seed in range(3):
+            cfg = SolverConfig(
+                deletion=KeepLbdCutAtMost(1), reduce_interval=1, seed=seed
+            )
+            st = Checking(random_3sat(seed, 50, 4.26), cfg).solve()
+            deleted += st.learned_deleted
+        assert deleted > 0 and protected
+        assert failures == []
 
 
 class TestSolve:
@@ -364,8 +366,8 @@ class TestProbe:
         class Flipping(_Solver):
             flip = None
 
-            def enqueue(self, lit, reason=None, meta=None):
-                return super().enqueue(-lit if lit == self.flip else lit, reason, meta)
+            def enqueue(self, lit, reason=None):
+                return super().enqueue(-lit if lit == self.flip else lit, reason)
 
         s = Flipping(CnfFormula.from_clause_lists(2, [[1, 2]]), SolverConfig())
         assert s.solve().result == "SAT"
