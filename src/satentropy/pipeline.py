@@ -620,50 +620,37 @@ def _fmt_ci(ci: tuple[float, float]) -> str:
 
 
 def comparison_table(
-    records: list[dict], label_a: str, label_b: str, k: int, seed: int
+    deltas: list[stats.RegressionResult], gaps: list[stats.BetaGapResult]
 ) -> list[dict]:
     """Rows Entropy and Density with the gap-regression and slope-gap tests."""
-    rows = []
-    ca = [r["conflicts"][label_a] for r in records]
-    cb = [r["conflicts"][label_b] for r in records]
-    for title, measure in (("Entropy", "entropy"), ("Density", "density")):
-        ms = [r[measure] for r in records]
-        delta = stats.delta_test(ms, ca, cb)
-        gap = stats.delta_beta_test(ms, ca, cb, k=k, seed=seed)
-        rows.append(
-            {
-                "measure": title,
-                "delta_ci": _fmt_ci(delta.ci95),
-                "delta_p": _fmt_p(delta.p_two_sided),
-                "delta_beta_ci": _fmt_ci(gap.gap_ci95),
-                "delta_beta_p": _fmt_p(gap.gap_p),
-                "delta_beta0_ci": _fmt_ci(gap.intercept_gap_ci95),
-                "delta_beta0_p": _fmt_p(gap.intercept_gap_p),
-            }
-        )
-    return rows
+    return [
+        {
+            "measure": title,
+            "delta_ci": _fmt_ci(delta.ci95),
+            "delta_p": _fmt_p(delta.p_two_sided),
+            "delta_beta_ci": _fmt_ci(gap.gap_ci95),
+            "delta_beta_p": _fmt_p(gap.gap_p),
+            "delta_beta0_ci": _fmt_ci(gap.intercept_gap_ci95),
+            "delta_beta0_p": _fmt_p(gap.intercept_gap_p),
+        }
+        for title, delta, gap in zip(("Entropy", "Density"), deltas, gaps)
+    ]
 
 
-def hardness_table(records: list[dict], labels: list[str], k: int, seed: int) -> list[dict]:
+def hardness_table(labels: list[str], gaps: list[stats.BetaGapResult]) -> list[dict]:
     """Per solver config: entropy and density slope CIs and the slope gap."""
-    rows = []
-    e = [r["entropy"] for r in records]
-    d = [r["density"] for r in records]
-    for label in labels:
-        c = [r["conflicts"][label] for r in records]
-        gap = stats.beta_gap_entropy_vs_density(e, d, c, k=k, seed=seed)
-        rows.append(
-            {
-                "config": label,
-                "beta_entropy_ci": _fmt_ci(gap.beta_a_ci95),
-                "beta_entropy_p": _fmt_p(gap.beta_a.p_two_sided),
-                "beta_density_ci": _fmt_ci(gap.beta_b_ci95),
-                "beta_density_p": _fmt_p(gap.beta_b.p_two_sided),
-                "gap_ci": _fmt_ci(gap.gap_ci95),
-                "gap_p": _fmt_p(gap.gap_p),
-            }
-        )
-    return rows
+    return [
+        {
+            "config": label,
+            "beta_entropy_ci": _fmt_ci(gap.beta_a_ci95),
+            "beta_entropy_p": _fmt_p(gap.beta_a.p_two_sided),
+            "beta_density_ci": _fmt_ci(gap.beta_b_ci95),
+            "beta_density_p": _fmt_p(gap.beta_b.p_two_sided),
+            "gap_ci": _fmt_ci(gap.gap_ci95),
+            "gap_p": _fmt_p(gap.gap_p),
+        }
+        for label, gap in zip(labels, gaps)
+    ]
 
 
 def analysis_table(
@@ -687,16 +674,19 @@ def analysis_table(
     if test == "beta-gap":
         res = stats.beta_gap_entropy_vs_density(entropy, density, ca, k=k, seed=seed)
         results = [("Entropy-vs-Density", res.gap_ci95, res.gap_p)]
-    else:
+    elif test == "delta":
         cb = column(col_b)
         results = []
         for title, ms in (("Entropy", entropy), ("Density", density)):
-            if test == "delta":
-                res = stats.delta_test(ms, ca, cb)
-                results.append((title, res.ci95, res.p_two_sided))
-            else:
-                res = stats.delta_beta_test(ms, ca, cb, k=k, seed=seed)
-                results.append((title, res.gap_ci95, res.gap_p))
+            res = stats.delta_test(ms, ca, cb)
+            results.append((title, res.ci95, res.p_two_sided))
+    else:
+        raw = {"entropy": entropy, "density": density, col_a: ca}
+        raw[col_b] = column(col_b)
+        cols = {name: stats.standardize(xs) for name, xs in raw.items()}
+        gaps = [((m, col_a), (m, col_b)) for m in ("entropy", "density")]
+        fits = stats.slope_gaps(cols, gaps, k, seed)
+        results = [(t, f.gap_ci95, f.gap_p) for t, f in zip(("Entropy", "Density"), fits)]
     return [
         {"measure": title, "conf_interval": _fmt_ci(ci), "p_val": _fmt_p(p)}
         for title, ci, p in results
@@ -777,19 +767,31 @@ def emit_report(
                 ]
             )
 
+    ys = [f"conflicts[{label}]" for label in labels]
+    raw = {m: [r[m] for r in records] for m in ("entropy", "density")}
+    raw.update((y, [r["conflicts"][lb] for r in records]) for y, lb in zip(ys, labels))
+    cols = {name: stats.standardize(xs) for name, xs in raw.items()}
+    # one bootstrap for all slope gaps: a vs b per measure, then per config
+    gaps = [((m, ys[0]), (m, ys[1])) for m in ("entropy", "density") if plan.label_b]
+    gaps += [(("entropy", y), ("density", y)) for y in ys]
+    results = stats.slope_gaps(cols, gaps, k, seed)
+
     if plan.label_b:
-        table = comparison_table(records, plan.label_a, plan.label_b, k, seed)
+        ca, cb = cols[ys[0]], cols[ys[1]]
+        deltas = [
+            stats.delta_test(cols[m], ca, cb, standardize_inputs=False)
+            for m in ("entropy", "density")
+        ]
+        table = comparison_table(deltas, results[:2])
         files["comparison_table.csv"] = csv_text(table)
         files["comparison_table.txt"] = aligned_text(table)
 
-    htable = hardness_table(records, labels, k, seed)
+    htable = hardness_table(labels, results[-len(labels):])
     files["hardness_table.csv"] = csv_text(htable)
     files["hardness_table.txt"] = aligned_text(htable)
 
     # cross-measure check: are entropy and density themselves correlated?
-    e = stats.standardize([r["entropy"] for r in records])
-    d = stats.standardize([r["density"] for r in records])
-    xm = stats.ols(e, d)
+    xm = stats.ols(cols["entropy"], cols["density"])
     files["cross_measure.csv"] = csv_text(
         [
             {

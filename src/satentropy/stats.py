@@ -165,8 +165,8 @@ def bootstrap(
 
 @dataclass(frozen=True)
 class BetaGapResult:
-    """Comparison of the regression slopes of two response series against
-    one measure, under a shared bootstrap resampling."""
+    """Comparison of two regression slopes under a shared bootstrap
+    resampling: the full-data fits and percentile statistics of the draws."""
 
     beta_a: RegressionResult
     beta_b: RegressionResult
@@ -196,53 +196,65 @@ def delta_test(
 ) -> RegressionResult:
     """Regression of the per-point conflict gap (a - b) on the measure."""
     xs, ca, cb = _checked((measure, conflicts_a, conflicts_b), standardize_inputs)
-    diffs = [a - b for a, b in zip(ca, cb)]
-    if all(d == 0.0 for d in diffs):
-        # identical heuristics: flat zero fit with no evidence against H0
-        return RegressionResult(
-            beta=0.0,
-            intercept=0.0,
-            beta_std=0.0,
-            z=0.0,
-            p_two_sided=1.0,
-            ci95=(0.0, 0.0),
-        )
-    return ols(xs, diffs)
+    return ols(xs, [a - b for a, b in zip(ca, cb)])
 
 
-def _fit_pair(sample: list[tuple]) -> tuple[float, float, float, float]:
-    """Slope and intercept of the fits of column 1 on 0 and of 3 on 2."""
-    fit_a = ols([r[0] for r in sample], [r[1] for r in sample])
-    fit_b = ols([r[2] for r in sample], [r[3] for r in sample])
-    return fit_a.beta, fit_a.intercept, fit_b.beta, fit_b.intercept
-
-
-def _paired_slope_bootstrap(
-    xa: Sequence[float],
-    ya: Sequence[float],
-    xb: Sequence[float],
-    yb: Sequence[float],
+def slope_gaps(
+    columns: dict[str, Sequence[float]],
+    gaps: Sequence[tuple[tuple[str, str], tuple[str, str]]],
     k: int,
     seed: int,
-) -> BetaGapResult:
-    """Bootstrap the gap between two regression slopes with shared indices."""
-    fit_a = ols(list(xa), list(ya))
-    fit_b = ols(list(xb), list(yb))
-    boot = bootstrap(list(zip(xa, ya, xb, yb)), _fit_pair, k, seed)
-    betas_a, ints_a, betas_b, ints_b = zip(*boot.per_iteration)
-    gaps = [a - b for a, b in zip(betas_a, betas_b)]
-    int_gaps = [a - b for a, b in zip(ints_a, ints_b)]
-    return BetaGapResult(
-        beta_a=fit_a,
-        beta_b=fit_b,
-        gap_ci95=_ci95(gaps),
-        gap_p=_percentile_two_sided_p(gaps),
-        intercept_gap_ci95=_ci95(int_gaps),
-        intercept_gap_p=_percentile_two_sided_p(int_gaps),
-        beta_a_ci95=_ci95(betas_a),
-        beta_b_ci95=_ci95(betas_b),
-        skipped=boot.skipped,
-    )
+) -> list[BetaGapResult]:
+    """Compare pairs of regression slopes under one shared bootstrap.
+
+    A gap names two (x, y) column pairs, each fitted y on x. Each bootstrap
+    iteration fits every distinct pair once; a pair whose resampled x is
+    constant gets no fit. A gap's percentile CIs and two-sided p-values come
+    from the iterations in which both of its pairs have a fit, and the rest
+    count as skipped."""
+    pairs = list(dict.fromkeys(pair for gap in gaps for pair in gap))
+    fits = {pair: ols(columns[pair[0]], columns[pair[1]]) for pair in pairs}
+
+    def fit_pairs(sample: list[tuple]) -> tuple:
+        cols = dict(zip(columns, zip(*sample)))
+        draws = []
+        for x, y in pairs:
+            try:
+                fit = ols(cols[x], cols[y])
+                draws += (fit.beta, fit.intercept)
+            except ValueError:  # constant x: no fit
+                draws += (None, None)
+        return tuple(draws)
+
+    boot = bootstrap(list(zip(*columns.values())), fit_pairs, k, seed)
+
+    def result(pair_a: tuple[str, str], pair_b: tuple[str, str]) -> BetaGapResult:
+        a, b = 2 * pairs.index(pair_a), 2 * pairs.index(pair_b)
+        kept = [d for d in boot.per_iteration if None not in (d[a], d[b])]
+        if not kept:
+            raise ValueError(
+                f"{pair_a[1]} on {pair_a[0]} vs {pair_b[1]} on {pair_b[0]}: all "
+                f"k = {k} bootstrap resamples have a constant x; rerun with a "
+                "larger --k (an experiment rerun re-reports without solving)"
+            )
+        betas_a, ints_a, betas_b, ints_b = (
+            [d[i] for d in kept] for i in (a, a + 1, b, b + 1)
+        )
+        gap = [x - y for x, y in zip(betas_a, betas_b)]
+        int_gap = [x - y for x, y in zip(ints_a, ints_b)]
+        return BetaGapResult(
+            beta_a=fits[pair_a],
+            beta_b=fits[pair_b],
+            gap_ci95=_ci95(gap),
+            gap_p=_percentile_two_sided_p(gap),
+            intercept_gap_ci95=_ci95(int_gap),
+            intercept_gap_p=_percentile_two_sided_p(int_gap),
+            beta_a_ci95=_ci95(betas_a),
+            beta_b_ci95=_ci95(betas_b),
+            skipped=k - len(kept),
+        )
+
+    return [result(*gap) for gap in gaps]
 
 
 def delta_beta_test(
@@ -253,15 +265,12 @@ def delta_beta_test(
     seed: int = 0,
     standardize_inputs: bool = True,
 ) -> BetaGapResult:
-    """Compare the slopes of conflicts_a-vs-measure and conflicts_b-vs-measure.
-
-    Both fits share each bootstrap iteration's resample indices, and the
-    reported gap statistics are percentile CIs / two-sided p-values over
-    the k slope differences. The intercept difference is reported under the
-    same resampling.
-    """
+    """Compare the slopes of conflicts_a-vs-measure and conflicts_b-vs-measure
+    (`slope_gaps` with one gap, on standardized inputs if asked)."""
     xs, ca, cb = _checked((measure, conflicts_a, conflicts_b), standardize_inputs)
-    return _paired_slope_bootstrap(xs, ca, xs, cb, k, seed)
+    columns = {"measure": xs, "conflicts_a": ca, "conflicts_b": cb}
+    gap = (("measure", "conflicts_a"), ("measure", "conflicts_b"))
+    return slope_gaps(columns, [gap], k, seed)[0]
 
 
 def beta_gap_entropy_vs_density(
@@ -275,4 +284,6 @@ def beta_gap_entropy_vs_density(
     """Compare the entropy-vs-conflicts slope with the density-vs-conflicts
     slope for a single solver, bootstrapping their gap with shared indices."""
     e, d, c = _checked((entropy, density, conflicts), standardize_inputs)
-    return _paired_slope_bootstrap(e, c, d, c, k, seed)
+    columns = {"entropy": e, "density": d, "conflicts": c}
+    gap = (("entropy", "conflicts"), ("density", "conflicts"))
+    return slope_gaps(columns, [gap], k, seed)[0]

@@ -576,6 +576,72 @@ class TestGoldenReport:
         gap = stats.beta_gap_entropy_vs_density(e, d, ca, k=self.K, seed=self.SEED)
         assert 0 < gap.skipped < self.K
 
+    def test_report_fits_each_pair_once_from_one_bootstrap(self, tmp_path, monkeypatch):
+        calls = {"ols": 0, "bootstrap": 0}
+
+        def counting(name):
+            real = getattr(stats, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(stats, name, counting(name))
+        k = self.K
+        # a paired plan fits its 4 (measure, config) pairs in each iteration
+        # and on the full data, plus 2 gap regressions; every plan fits 2
+        # trendlines and the cross-measure line
+        for plan_name, ols_calls in (("decay", 4 * k + 9), ("hardness", 2 * k + 5)):
+            plan = make_plan(plan_name)
+            calls.update(ols=0, bootstrap=0)
+            records = self.records(plan, "synthetic")
+            emit_report(plan, records, tmp_path, k=k, seed=self.SEED)
+            assert calls == {"ols": ols_calls, "bootstrap": 1}, plan_name
+
+    def test_shared_gaps_equal_the_gaps_computed_alone(self, tmp_path, monkeypatch):
+        # each gap reads only the iterations where both of its pairs fit, so
+        # sharing one bootstrap changes no figure, skipped counts included
+        real = stats.slope_gaps
+        calls = []
+
+        def recording(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(stats, "slope_gaps", recording)
+        kw = {"k": self.K, "seed": self.SEED}
+        for plan_name in ("decay", "hardness"):
+            plan = make_plan(plan_name)
+            labels = [plan.label_a] + ([plan.label_b] if plan.label_b else [])
+            for which in ("synthetic", "small"):
+                recs = self.records(plan, which)
+                calls.clear()
+                emit_report(plan, recs, tmp_path / f"{plan_name}-{which}", **kw)
+                [shared] = calls
+                e = [r["entropy"] for r in recs]
+                d = [r["density"] for r in recs]
+                cs = [[r["conflicts"][label] for r in recs] for label in labels]
+                alone = []
+                if plan.label_b:
+                    alone += [stats.delta_beta_test(m, *cs, **kw) for m in (e, d)]
+                alone += [stats.beta_gap_entropy_vs_density(e, d, c, **kw) for c in cs]
+                assert shared == alone, (plan_name, which)
+                if which == "small":
+                    assert any(gap.skipped for gap in shared)
+
+    def test_a_gap_without_a_usable_resample_is_named(self, tmp_path):
+        plan = make_plan("decay")
+        recs = self.records(plan, "small")
+        emit_report(plan, recs, tmp_path, k=10, seed=0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # the one resample at this seed has a constant entropy column
+        with pytest.raises(ValueError, match=r"on entropy: all k = 1 .*larger --k"):
+            emit_report(plan, recs, tmp_path, k=1, seed=100)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_analyze_output_is_golden(self, tmp_path, capsys):
         plan = make_plan("decay")
         digests = {}

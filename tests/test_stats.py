@@ -13,6 +13,7 @@ from satentropy.stats import (
     normal_cdf,
     ols,
     pearson,
+    slope_gaps,
     standardize,
 )
 
@@ -179,6 +180,11 @@ class TestDeltaTest:
         assert r.beta == 0.0
         assert r.p_two_sided == 1.0
 
+    def test_identical_heuristics_on_two_points(self):
+        # refused like every other 2-point input
+        with pytest.raises(ValueError, match="at least 3 points"):
+            delta_test([0.1, 0.5], [3.0, 1.0], [3.0, 1.0])
+
     def test_constructed_identity(self):
         m = [0.0, 1.0, 2.0, 3.0]
         c2 = [5.0, 5.0, 5.0, 5.0]
@@ -224,6 +230,26 @@ class TestDeltaBetaTest:
         r = delta_beta_test(m, c1, c2, k=500, seed=3, standardize_inputs=False)
         assert r.gap_ci95[0] > 0.0
         assert r.gap_p < 0.01
+
+
+class TestSlopeGaps:
+    COLUMNS = {
+        "x": [0.0, 0.0, 1.0, 1.0],
+        "z": [0.0, 1.0, 2.0, 3.0],
+        "y": [1.0, 3.0, 2.0, 5.0],
+    }
+
+    def test_each_gap_skips_only_its_own_degenerate_resamples(self):
+        gaps = [(("x", "y"), ("z", "y")), (("z", "y"), ("z", "x"))]
+        assert [g.skipped for g in slope_gaps(self.COLUMNS, gaps, 50, 5)] == [3, 0]
+
+    def test_a_gap_without_a_usable_resample_is_refused(self):
+        # at seed 5 the one resample has a constant x column
+        gap = (("x", "y"), ("z", "y"))
+        with pytest.raises(ValueError, match=r"^y on x vs y on z: all k = 1 .*--k"):
+            slope_gaps(self.COLUMNS, [gap], 1, 5)
+        [other] = slope_gaps(self.COLUMNS, [(("z", "y"), ("z", "x"))], 1, 5)
+        assert other.skipped == 0
 
 
 class TestBetaGapEntropyVsDensity:
