@@ -14,6 +14,7 @@ pipeline.build_suite writes them out as a suite.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -62,16 +63,55 @@ def _attempt_seed(seed: int, attempt: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """random.sample(range(1, n + 1), k) from the same getrandbits stream:
+    redraws at or above the bound, and on a repeat when it keeps a set."""
+    pooled = n <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+    pool, picked = list(range(1, n + 1)), []
+    for m in range(n, n - k, -1) if pooled else [n] * k:
+        j = rng.getrandbits(m.bit_length())
+        while j >= m or not pooled and pool[j] in picked:
+            j = rng.getrandbits(m.bit_length())
+        picked.append(pool[j])
+        if pooled:
+            pool[j] = pool[m - 1]
+    return picked
+
+
 def gen_random_3sat(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
     """A uniform random 3-SAT formula: per clause, 3 distinct variables
-    drawn without replacement and independent uniform signs."""
+    drawn without replacement (_sample(rng, num_vars, 3), inlined) and
+    independent uniform signs."""
     if num_vars < 3:
         raise ValueError("need at least 3 variables for 3-SAT")
     rng = random.Random(seed)
+    bits, rand = rng.getrandbits, rng.random
+    # random.sample picks 3 from a shrinking pool list up to 21 variables
+    # and from the whole range, redrawing repeats, above that
+    n, keeps_set = num_vars, num_vars > 21
+    n1, n2 = (n, n) if keeps_set else (n - 1, n - 2)
+    w, w1, w2 = n.bit_length(), n1.bit_length(), n2.bit_length()
     clauses = []
     for _ in range(num_clauses):
-        vs = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
+        a = bits(w)
+        while a >= n:
+            a = bits(w)
+        b = bits(w1)
+        while b >= n1 or keeps_set and b == a:
+            b = bits(w1)
+        c = bits(w2)
+        while c >= n2 or keeps_set and (c == a or c == b):
+            c = bits(w2)
+        # pool indices: the pool 1..n refills slot a with its last value n,
+        # then slot b with its slot n - 2; without a pool they never meet
+        c = (n if a == n - 2 else n - 1) if c == b else n if c == a else c + 1
+        b = n if b == a else b + 1
+        a += 1
+        clauses.append(Clause((
+            a if rand() < 0.5 else -a,
+            b if rand() < 0.5 else -b,
+            c if rand() < 0.5 else -c,
+        )))
     return CnfFormula(num_vars, tuple(clauses))
 
 
@@ -95,7 +135,7 @@ def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula,
             if model is None:
                 continue
             rng = random.Random(_attempt_seed(spec.seed ^ 0x5EED, attempt))
-            pinned = rng.sample(range(1, spec.num_vars + 1), target)
+            pinned = _sample(rng, spec.num_vars, target)
             units = tuple(
                 Clause((v if model[v] else -v,)) for v in sorted(pinned)
             )

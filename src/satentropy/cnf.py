@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 
@@ -57,12 +58,11 @@ class CnfFormula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        for c in self.clauses:
-            for l in c.lits:
-                if abs(l) > self.num_vars:
-                    raise ValueError(
-                        f"literal {l} exceeds declared {self.num_vars} vars"
-                    )
+        n = self.num_vars
+        lits = set(chain.from_iterable([c.lits for c in self.clauses]))
+        if lits and (min(lits) < -n or max(lits) > n):
+            bad = next(l for c in self.clauses for l in c.lits if abs(l) > n)
+            raise ValueError(f"literal {bad} exceeds declared {n} vars")
 
     @classmethod
     def from_clause_lists(

@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, stats
@@ -246,13 +247,27 @@ def write_profile(path: Path, profile: FormulaProfile) -> None:
 def ensure_profile(
     suite_dir: str | Path, formula_id: str, formula: CnfFormula
 ) -> FormulaProfile:
-    """Cached profile lookup; profiles on the missing path, never fails silently."""
+    """Cached profile lookup; profiles on the missing path, never fails
+    silently. A cached sidecar must agree with its formula and itself."""
+    path = _profile_path(suite_dir, formula_id)
     cached = load_profile(suite_dir, formula_id)
-    if cached is not None:
-        return cached
-    profile = profile_formula(formula)
-    write_profile(_profile_path(suite_dir, formula_id), profile)
-    return profile
+    if cached is None:
+        profile = profile_formula(formula)
+        write_profile(path, profile)
+        return profile
+    n, per_var = formula.num_vars, cached.variables
+    for field, ok in (
+        ("vars", cached.num_vars == n),
+        ("per_var", [p.var for p in per_var] == list(range(1, n + 1))),
+        ("backbone_count", cached.backbone_count == sum(p.is_backbone for p in per_var)),
+        ("density", cached.density == float(Fraction(cached.model_count, 2**n))),
+    ):
+        if not ok:
+            raise ValueError(
+                f"profile sidecar {path}: {field!r} does not agree with formula "
+                f"{formula_id}; delete the sidecar to profile it again"
+            )
+    return cached
 
 
 def build_suite(

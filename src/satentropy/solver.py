@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .cnf import CnfFormula, evaluate
+from .cnf import CnfFormula
 
 
 # ---------------------------------------------------------------- configs
@@ -228,9 +228,19 @@ def reduce_database(
 _UNASSIGNED = -1
 
 
+def _satisfied(clause_lits: list[tuple[int, ...]], value: list[int]) -> bool:
+    """True iff every clause has a literal that is true in `value`."""
+    for lits in clause_lits:
+        for lit in lits:
+            if value[lit] == 1:
+                break
+        else:
+            return False
+    return True
+
+
 class _Solver:
     def __init__(self, formula: CnfFormula, config: SolverConfig):
-        self.formula = formula
         self.config = config
         self.n = formula.num_vars
         self.rng = random.Random(config.seed)
@@ -274,7 +284,9 @@ class _Solver:
         self.unsat = False
         self.units: list[int] = []
         self.clauses: list[list[int]] = []
-        for lits in formula.clause_lists():
+        # the problem clauses as given, against which each model is checked
+        self.clause_lits = formula.clause_lists()
+        for lits in self.clause_lits:
             if len(lits) == 0:
                 self.unsat = True
             elif len(lits) == 1:
@@ -606,13 +618,12 @@ class _Solver:
                     continue
             v = self.pick_branch_var()
             if v is None:
-                model = {
-                    u: self.value[u] == 1 for u in range(1, self.n + 1)
-                }
-                if not evaluate(self.formula, model):
+                value = self.value
+                if not _satisfied(self.clause_lits, value):
                     raise RuntimeError("model failed verification (soundness bug)")
-                if assume is not None and model[abs(assume)] != (assume > 0):
+                if assume is not None and value[assume] != 1:
                     raise RuntimeError("model violates the assumption (soundness bug)")
+                model = {u: value[u] == 1 for u in range(1, self.n + 1)}
                 return self._stats("SAT", model)
             self.decisions += 1
             self.trail_lim.append(len(self.trail))

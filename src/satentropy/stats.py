@@ -44,6 +44,16 @@ class RegressionResult:
     ci95: tuple[float, float]
 
 
+def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float] | None:
+    """Least-squares (slope, intercept) of ys on xs, or None for a constant x."""
+    xbar, ybar = mean(xs), mean(ys)
+    sxx = sum([(x - xbar) ** 2 for x in xs])
+    if sxx == 0.0:
+        return None
+    beta = sum([(x - xbar) * (y - ybar) for x, y in zip(xs, ys)]) / sxx
+    return beta, ybar - beta * xbar
+
+
 def ols(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
     """Least-squares line fit with a two-sided z-test of slope = 0."""
     n = len(xs)
@@ -51,13 +61,12 @@ def ols(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
         raise ValueError("series length mismatch")
     if n < 3:
         raise ValueError("regression needs at least 3 points")
-    xbar, ybar = mean(xs), mean(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    if sxx == 0.0:
+    fit = line_fit(xs, ys)
+    if fit is None:
         raise ValueError("x series is constant")
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    beta = sxy / sxx
-    intercept = ybar - beta * xbar
+    beta, intercept = fit
+    xbar = mean(xs)
+    sxx = sum([(x - xbar) ** 2 for x in xs])
     sse = sum((y - (intercept + beta * x)) ** 2 for x, y in zip(xs, ys))
     beta_std = math.sqrt(max(sse, 0.0) / (n - 2) / sxx)
     if beta_std == 0.0:
@@ -147,11 +156,15 @@ def bootstrap(
     per_iter: list[float] = []
     skipped = 0
     points = 0
+    width = n.bit_length()
     for _ in range(k):
-        rng = random.Random(master.getrandbits(64))
-        idx = [rng.randrange(n) for _ in range(n)]
+        # n draws of randrange(n): getrandbits values of n or more are redrawn
+        draw, sample = random.Random(master.getrandbits(64)).getrandbits, []
+        while len(sample) < n:
+            i = draw(width)
+            if i < n:
+                sample.append(rows[i])
         points += n
-        sample = [rows[i] for i in idx]
         try:
             per_iter.append(statistic(sample))
         except ValueError:
@@ -219,11 +232,7 @@ def slope_gaps(
         cols = dict(zip(columns, zip(*sample)))
         draws = []
         for x, y in pairs:
-            try:
-                fit = ols(cols[x], cols[y])
-                draws += (fit.beta, fit.intercept)
-            except ValueError:  # constant x: no fit
-                draws += (None, None)
+            draws += line_fit(cols[x], cols[y]) or (None, None)  # None: constant x
         return tuple(draws)
 
     boot = bootstrap(list(zip(*columns.values())), fit_pairs, k, seed)

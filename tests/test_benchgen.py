@@ -1,19 +1,59 @@
 import csv
 import hashlib
+import random
 
 import pytest
 
 from satentropy.benchgen import (
     BackboneSearchExhausted,
     BenchSpec,
+    _sample,
     gen_random_3sat,
     gen_with_backbone,
     tuned_clause_counts,
 )
-from satentropy.cnf import parse_dimacs
+from satentropy.cnf import Clause, CnfFormula, parse_dimacs
 from satentropy.counter import count_models, find_model
 from satentropy.entropy import profile_formula
 from satentropy.pipeline import build_suite
+
+
+def sampled_3sat(num_vars, num_clauses, seed):
+    """The generator as it was written on random.sample: the oracle for the
+    getrandbits draw."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        vs = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+class TestDrawMatchesRandomSample:
+    # random.sample keeps a pool list for 3 of at most 21 and a set above
+    @pytest.mark.parametrize("n", [*range(3, 26), 40, 60, 150])
+    def test_every_path(self, n):
+        for seed in range(10):
+            assert gen_random_3sat(n, 4 * n, seed) == sampled_3sat(n, 4 * n, seed)
+
+    def test_random_cases(self):
+        cases = random.Random(2017)
+        for _ in range(2000):
+            n, m = cases.randint(3, 200), cases.randint(1, 60)
+            seed = cases.getrandbits(64)
+            assert gen_random_3sat(n, m, seed) == sampled_3sat(n, m, seed), (n, m, seed)
+
+    def test_pinned_variables(self):
+        # force mode's sample of k of n variables, k > 5 included, and the
+        # stream position after it
+        cases = random.Random(7919)
+        for _ in range(1000):
+            n = cases.randint(1, 300)
+            k = cases.randint(0, n if cases.random() < 0.5 else min(n, 8))
+            seed = cases.getrandbits(64)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _sample(ours, n, k) == theirs.sample(range(1, n + 1), k), (n, k)
+            assert ours.random() == theirs.random()
 
 
 class TestRandom3Sat:

@@ -670,6 +670,21 @@ class TestGenAndExperiment:
         assert content_hash(edited) in err and row["formula_id"] in err
         assert (res / "records.jsonl").read_bytes() == b""
 
+    def test_sidecar_edited_after_gen_is_refused(
+        self, small_suite, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+        suite = tmp_path / "suite"
+        shutil.copytree(small_suite, suite)
+        row = min(pipeline.load_suite(suite), key=lambda r: r["formula_id"])
+        sidecar = suite / "profiles" / f"{row['formula_id']}.json"
+        d = json.loads(sidecar.read_text())
+        d["backbone_count"] += 1
+        sidecar.write_text(json.dumps(d))
+        assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: profile sidecar {sidecar}: 'backbone_count' ")
+
     def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv(pipeline.CACHE_DIR_ENV, str(cache))

@@ -121,3 +121,24 @@ def test_clause_invariants():
     assert t.is_tautology
     with pytest.raises(ValueError):
         Clause.from_lits([0])
+
+
+class TestLiteralRange:
+    @pytest.mark.parametrize(
+        "clauses,bad",
+        [
+            ([[1, 4]], 4),
+            ([[-4, 1]], -4),
+            ([[1, 2], [3, -5, 6], [7]], -5),  # the first in clause order
+            ([[2, 9], [-9]], 9),
+            ([[], [-1, -3], [1, 2, -4]], -4),
+        ],
+    )
+    def test_out_of_range_literal_is_named(self, clauses, bad):
+        with pytest.raises(ValueError, match=f"^literal {bad} exceeds declared 3 vars$"):
+            CnfFormula.from_clause_lists(3, clauses)
+
+    def test_every_literal_in_range_is_accepted(self):
+        f = CnfFormula.from_clause_lists(3, [[-3, 3], [1, -2], [], [3]])
+        assert [c.lits for c in f.clauses] == [(-3, 3), (1, -2), (), (3,)]
+        assert CnfFormula(0, ()).num_clauses == 0

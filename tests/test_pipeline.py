@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -459,6 +460,50 @@ class TestProfileCacheEnvVar:
         assert sidecar is not None  # generator-written sidecar still found
 
 
+class TestProfileSidecarCheck:
+    """ensure_profile checks a cached sidecar against its formula."""
+
+    @pytest.fixture
+    def sidecar(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+        formula = parse_dimacs("p cnf 4 3\n1 2 0\n-1 2 0\n3 -4 0\n")
+        written = pipeline.ensure_profile(tmp_path, "f1", formula)
+        path = tmp_path / "profiles" / "f1.json"
+        return tmp_path, formula, written, path
+
+    def test_a_valid_sidecar_is_read_as_written(self, sidecar, monkeypatch):
+        suite, formula, written, path = sidecar
+        text = path.read_text()
+
+        def no_profile(formula):
+            raise AssertionError("profiled a formula with a valid sidecar")
+
+        monkeypatch.setattr(pipeline, "profile_formula", no_profile)
+        assert pipeline.ensure_profile(suite, "f1", formula) == written
+        assert written.backbone_count == 1 and written.density == 0.375
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("vars", lambda d: d.update(vars=5)),
+            ("per_var", lambda d: d["per_var"].reverse()),
+            ("per_var", lambda d: d["per_var"].pop()),
+            ("backbone_count", lambda d: d.update(backbone_count=0)),
+            ("density", lambda d: d.update(density=0.5)),
+            ("density", lambda d: d.update(model_count="7")),
+        ],
+    )
+    def test_a_hand_edited_sidecar_is_refused(self, sidecar, field, edit):
+        suite, formula, _, path = sidecar
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+        message = f"^profile sidecar {re.escape(str(path))}: '{field}' does not agree"
+        with pytest.raises(ValueError, match=message):
+            pipeline.ensure_profile(suite, "f1", formula)
+
+
 def small_records(labels):
     """Six records whose entropy and density values repeat, so that some
     bootstrap resamples have a constant x column and are skipped."""
@@ -577,7 +622,7 @@ class TestGoldenReport:
         assert 0 < gap.skipped < self.K
 
     def test_report_fits_each_pair_once_from_one_bootstrap(self, tmp_path, monkeypatch):
-        calls = {"ols": 0, "bootstrap": 0}
+        calls = {"line_fit": 0, "ols": 0, "bootstrap": 0}
 
         def counting(name):
             real = getattr(stats, name)
@@ -591,15 +636,17 @@ class TestGoldenReport:
         for name in calls:
             monkeypatch.setattr(stats, name, counting(name))
         k = self.K
-        # a paired plan fits its 4 (measure, config) pairs in each iteration
-        # and on the full data, plus 2 gap regressions; every plan fits 2
-        # trendlines and the cross-measure line
-        for plan_name, ols_calls in (("decay", 4 * k + 9), ("hardness", 2 * k + 5)):
+        # a paired plan line-fits its 4 (measure, config) pairs in each
+        # iteration; ols fits them on the full data, plus 2 gap regressions,
+        # and every plan fits 2 trendlines and the cross-measure line; each
+        # ols call makes one more line fit
+        for plan_name, fits, ols_calls in (("decay", 4 * k, 9), ("hardness", 2 * k, 5)):
             plan = make_plan(plan_name)
-            calls.update(ols=0, bootstrap=0)
+            calls.update(line_fit=0, ols=0, bootstrap=0)
             records = self.records(plan, "synthetic")
             emit_report(plan, records, tmp_path, k=k, seed=self.SEED)
-            assert calls == {"ols": ols_calls, "bootstrap": 1}, plan_name
+            expected = {"line_fit": fits + ols_calls, "ols": ols_calls, "bootstrap": 1}
+            assert calls == expected, plan_name
 
     def test_shared_gaps_equal_the_gaps_computed_alone(self, tmp_path, monkeypatch):
         # each gap reads only the iterations where both of its pairs fit, so

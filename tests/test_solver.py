@@ -19,6 +19,7 @@ from satentropy.solver import (
     reduce_database,
     _UNASSIGNED,
     _Solver,
+    _satisfied,
     solve,
 )
 from conftest import criterion_1_corpus, criterion_2_corpus, random_3sat, random_formula
@@ -187,9 +188,36 @@ class TestSolve:
         # an explicit check, so it also holds under python -O
         from satentropy import solver
 
-        monkeypatch.setattr(solver, "evaluate", lambda formula, model: False)
+        monkeypatch.setattr(solver, "_satisfied", lambda clause_lits, value: False)
         with pytest.raises(RuntimeError, match="model failed verification"):
             solve(CnfFormula.from_clause_lists(2, [[1, 2]]))
+
+    def test_flipped_variable_fails_verification(self):
+        # the check reads the literal-indexed value array, not a model dict
+        f = random_3sat(3, 20, 4.0)
+        flipped = []
+
+        class Flipping(_Solver):
+            def pick_branch_var(self):
+                v = super().pick_branch_var()
+                if v is None:  # full assignment: flip the one true literal of a clause
+                    value = self.value
+                    assert _satisfied(f.clause_lists(), value)
+                    lit = next(
+                        l
+                        for lits in f.clause_lists()
+                        if sum(value[x] == 1 for x in lits) == 1
+                        for l in lits
+                        if value[l] == 1
+                    )
+                    value[lit], value[-lit] = 0, 1
+                    flipped.append(lit)
+                    assert not _satisfied(f.clause_lists(), value)
+                return v
+
+        with pytest.raises(RuntimeError, match="^model failed verification"):
+            Flipping(f, SolverConfig()).solve()
+        assert len(flipped) == 1
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.label())
     def test_soundness_all_configs(self, cfg):

@@ -9,6 +9,7 @@ from satentropy.stats import (
     bootstrap,
     delta_beta_test,
     delta_test,
+    line_fit,
     mean,
     normal_cdf,
     ols,
@@ -26,6 +27,41 @@ HAND_DATASETS = [
     ([1, 2, 3, 4, 5], [2, 2, 4, 4, 6], 1.0, 0.6, 0.2),
     ([-1, 0, 1], [1, 0, 1], 0.0, 2.0 / 3.0, math.sqrt(1.0 / 3.0)),
 ]
+
+
+def reference_line(xs, ys):
+    """The slope and intercept as ols computed them before line_fit: the
+    floats line_fit and ols must reproduce bit for bit."""
+    xbar, ybar = mean(xs), mean(ys)
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    beta = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    return beta, ybar - beta * xbar
+
+
+class TestLineFit:
+    def series(self):
+        rng = random.Random(12)
+        for xs, ys, *_ in HAND_DATASETS:
+            yield xs, ys
+        for n in (3, 4, 15, 100):
+            for _ in range(25):
+                xs = [rng.gauss(0, 1) for _ in range(n)]
+                ys = [rng.expovariate(0.01) for _ in range(n)]
+                yield xs, ys
+                yield standardize(xs), standardize(ys)
+
+    def test_equals_ols_bit_for_bit(self):
+        for xs, ys in self.series():
+            r = ols(xs, ys)
+            bits = [float.hex(v) for v in line_fit(xs, ys)]
+            assert bits == [r.beta.hex(), r.intercept.hex()]
+            assert bits == [float.hex(v) for v in reference_line(xs, ys)]
+
+    def test_constant_x_has_no_fit(self):
+        for xs, ys in (([2, 2, 2], [1, 2, 3]), ([0.5] * 6, [0.0] * 6)):
+            assert line_fit(xs, ys) is None
+            with pytest.raises(ValueError, match="x series is constant"):
+                ols(xs, ys)
 
 
 class TestStandardize:
@@ -118,6 +154,18 @@ class TestNormalCdf:
 
 
 class TestBootstrap:
+    def test_resamples_are_the_randrange_draws(self):
+        # the resampling loop draws its own indices from getrandbits; they
+        # must be the ones randrange(n) gives on each iteration's stream
+        for n in (*range(2, 40), 64, 65, 100, 1000):
+            rows = [(i,) for i in range(n)]
+            seen = []
+            bootstrap(rows, lambda sample: seen.append(sample) or 0.0, 5, n)
+            master = random.Random(n)
+            for sample in seen:
+                rng = random.Random(master.getrandbits(64))
+                assert sample == [rows[rng.randrange(n)] for _ in range(n)], n
+
     def test_single_iteration(self):
         r = bootstrap([(1.0,), (2.0,)], lambda s: mean([t[0] for t in s]), 1, 0)
         assert len(r.per_iteration) == 1
