@@ -141,7 +141,7 @@ def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula,
             )
             f = CnfFormula(f.num_vars, f.clauses + units)
         try:
-            size = backbone_size(f, abort_above=target, abort_below=target)
+            size = backbone_size(f, target)
         except UnsatisfiableFormula:
             continue
         key = size if size >= target else f"<{target}"

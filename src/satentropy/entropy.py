@@ -3,8 +3,8 @@
 Profiles and the backbone set come from one exact counting pass.
 backbone_size counts no models: it probes one incremental CDCL instance,
 one probe per candidate literal under the assumption that it is false,
-and can stop early once the size is known to lie above `abort_above` or
-below `abort_below`.
+and can stop early once the size is known to lie above or below a
+`target`.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ class FormulaProfile:
     def from_dict(cls, d: dict) -> "FormulaProfile":
         variables = []
         for p in d["per_var"]:
-            r = Fraction(p["r_exact"]) if "r_exact" in p else Fraction(p["r"])
+            r = Fraction(p["r_exact"]) if isinstance(p["r_exact"], str) else None
+            if r is None or not 0 <= r <= 1:
+                raise ValueError(f"'r_exact' {p['r_exact']!r} is not a ratio in [0, 1]")
             variables.append(
                 VariableProfile(
                     var=p["v"],
@@ -158,11 +160,7 @@ def backbone(formula: CnfFormula) -> set[int]:
     }
 
 
-def backbone_size(
-    formula: CnfFormula,
-    abort_above: int | None = None,
-    abort_below: int | None = None,
-) -> int:
+def backbone_size(formula: CnfFormula, target: int | None = None) -> int:
     """Number of backbone variables, via satisfiability probes with model
     filtering on one incremental solver (Janota, Lynce & Marques-Silva,
     AI Communications 2015).
@@ -173,10 +171,11 @@ def backbone_size(
     variable is probed only while it is still a candidate: its literal l is
     backbone iff no model sets NOT l, and each model found drops every
     candidate whose polarity it flips. Variables are decided in increasing
-    order. With abort_above set the call returns abort_above + 1 as soon as
-    the count exceeds it; with abort_below set it returns a number below
-    abort_below as soon as the count plus the undecided candidates is.
-    Between the two bounds the result is exact.
+    order. With a target set the call returns target + 1 as soon as the
+    count exceeds the target, and a number below the target as soon as the
+    count plus the undecided candidates is below it; so the result is exact
+    when it equals the target, and on the same side of the target as the
+    size otherwise. Without a target the result is exact.
     """
     solver = _Solver(formula, SolverConfig())
     candidates = solver.solve().model
@@ -190,12 +189,12 @@ def backbone_size(
         model = solver.probe(-lit)
         if model is None:
             count += 1
-            if abort_above is not None and count > abort_above:
+            if target is not None and count > target:
                 return count
         else:
             candidates = {u: b for u, b in candidates.items() if model[u] == b}
             # the candidates up to v are the backbone found so far, so
             # len(candidates) is count + undecided candidates
-            if abort_below is not None and len(candidates) < abort_below:
+            if target is not None and len(candidates) < target:
                 return len(candidates)
     return count

@@ -64,10 +64,11 @@ CACHE_DIR_ENV = "SATENTROPY_CACHE_DIR"
 
 
 def parse_restart(spec: str):
-    """Restart policy from luby:N or glucose:W:M; ValueError otherwise."""
+    """Restart policy from luby:N or glucose:W:M; ValueError otherwise. An
+    omitted field takes the policy's default."""
     kind, _, rest = spec.partition(":")
     if kind == "luby":
-        return LubyRestarts(int(rest) if rest else 100)
+        return LubyRestarts(int(rest)) if rest else LubyRestarts()
     if kind == "glucose":
         parts = rest.split(":") if rest else []
         if len(parts) > 2:
@@ -75,9 +76,12 @@ def parse_restart(spec: str):
                 f"restart policy {spec!r} has {len(parts)} fields after "
                 "'glucose:'; use glucose:W:M"
             )
-        window = int(parts[0]) if len(parts) > 0 and parts[0] else 50
-        margin = float(parts[1]) if len(parts) > 1 else 0.8
-        return GlucoseRestarts(window, margin)
+        given = {}
+        if parts and parts[0]:
+            given["window"] = int(parts[0])
+        if len(parts) > 1:
+            given["margin"] = float(parts[1])
+        return GlucoseRestarts(**given)
     raise ValueError(f"unknown restart policy {spec!r} (use luby:N or glucose:W:M)")
 
 
@@ -85,9 +89,9 @@ def parse_keep(spec: str):
     """Deletion criterion from lbd:N or size:N; ValueError otherwise."""
     kind, _, rest = spec.partition(":")
     if kind == "lbd":
-        return KeepLbdCutAtMost(int(rest) if rest else 5)
+        return KeepLbdCutAtMost(int(rest)) if rest else KeepLbdCutAtMost()
     if kind == "size":
-        return KeepSizeAtMost(int(rest) if rest else 12)
+        return KeepSizeAtMost(int(rest)) if rest else KeepSizeAtMost()
     raise ValueError(f"unknown deletion criterion {spec!r} (use lbd:N or size:N)")
 
 
@@ -219,10 +223,19 @@ def _profile_path(suite_dir: str | Path, formula_id: str) -> Path:
 
 
 def load_profile(suite_dir: str | Path, formula_id: str) -> FormulaProfile | None:
+    """The profile in formula_id's sidecar, or None when there is none;
+    ValueError naming the sidecar when it cannot be read."""
     p = _profile_path(suite_dir, formula_id)
     if not p.exists():
         return None
-    return FormulaProfile.from_dict(json.loads(p.read_text()))
+    try:
+        return FormulaProfile.from_dict(json.loads(p.read_text()))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        why = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+        raise ValueError(
+            f"profile sidecar {p} cannot be read ({why}); delete the sidecar "
+            "to profile it again"
+        ) from None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -671,9 +684,9 @@ def hardness_table(labels: list[str], gaps: list[stats.BetaGapResult]) -> list[d
 def analysis_table(
     rows: list[dict], test: str, col_a: str, col_b: str, k: int, seed: int
 ) -> list[dict]:
-    """The `analyze` table over results-CSV rows: test is delta or
-    delta-beta (one row per measure) or beta-gap (col_a's entropy slope
-    against its density slope)."""
+    """The `analyze` table over results-CSV rows, each column read and
+    then standardized once: test is delta or delta-beta (one row per
+    measure) or beta-gap (col_a's entropy slope against its density slope)."""
     def column(name):
         values = []
         for row, r in enumerate(rows, 1):
@@ -685,23 +698,21 @@ def analysis_table(
                 ) from None
         return values
 
-    entropy, density, ca = column("entropy"), column("density"), column(col_a)
-    if test == "beta-gap":
-        res = stats.beta_gap_entropy_vs_density(entropy, density, ca, k=k, seed=seed)
-        results = [("Entropy-vs-Density", res.gap_ci95, res.gap_p)]
-    elif test == "delta":
-        cb = column(col_b)
-        results = []
-        for title, ms in (("Entropy", entropy), ("Density", density)):
-            res = stats.delta_test(ms, ca, cb)
-            results.append((title, res.ci95, res.p_two_sided))
-    else:
-        raw = {"entropy": entropy, "density": density, col_a: ca}
-        raw[col_b] = column(col_b)
-        cols = {name: stats.standardize(xs) for name, xs in raw.items()}
-        gaps = [((m, col_a), (m, col_b)) for m in ("entropy", "density")]
+    names = ["entropy", "density", col_a] + ([col_b] if test != "beta-gap" else [])
+    raw = {name: column(name) for name in names}
+    cols = {name: stats.standardize(xs) for name, xs in raw.items()}
+    measures, titles = ("entropy", "density"), ("Entropy", "Density")
+    if test == "delta":
+        fits = [stats.delta_test(cols[m], cols[col_a], cols[col_b]) for m in measures]
+        results = [(t, f.ci95, f.p_two_sided) for t, f in zip(titles, fits)]
+    elif test == "delta-beta":
+        gaps = [((m, col_a), (m, col_b)) for m in measures]
         fits = stats.slope_gaps(cols, gaps, k, seed)
-        results = [(t, f.gap_ci95, f.gap_p) for t, f in zip(("Entropy", "Density"), fits)]
+        results = [(t, f.gap_ci95, f.gap_p) for t, f in zip(titles, fits)]
+    else:
+        gap = (("entropy", col_a), ("density", col_a))
+        [fit] = stats.slope_gaps(cols, [gap], k, seed)
+        results = [("Entropy-vs-Density", fit.gap_ci95, fit.gap_p)]
     return [
         {"measure": title, "conf_interval": _fmt_ci(ci), "p_val": _fmt_p(p)}
         for title, ci, p in results
@@ -793,10 +804,7 @@ def emit_report(
 
     if plan.label_b:
         ca, cb = cols[ys[0]], cols[ys[1]]
-        deltas = [
-            stats.delta_test(cols[m], ca, cb, standardize_inputs=False)
-            for m in ("entropy", "density")
-        ]
+        deltas = [stats.delta_test(cols[m], ca, cb) for m in ("entropy", "density")]
         table = comparison_table(deltas, results[:2])
         files["comparison_table.csv"] = csv_text(table)
         files["comparison_table.txt"] = aligned_text(table)

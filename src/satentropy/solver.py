@@ -271,7 +271,6 @@ class _Solver:
         self.restart_count = 0
         self.learned_deleted_total = 0
 
-        self.luby_index = 1
         self.luby_limit = self.current_luby_limit()
         self.conflicts_since_restart = 0
         # glucose only: the LBDs of the last `window` conflicts and their sum
@@ -488,7 +487,7 @@ class _Solver:
     def current_luby_limit(self) -> int:
         r = self.config.restart
         if isinstance(r, LubyRestarts):
-            return luby(self.luby_index) * r.base_interval
+            return luby(self.restart_count + 1) * r.base_interval
         return 0
 
     def restart_due(self) -> bool:
@@ -522,7 +521,6 @@ class _Solver:
         self.recent_lbds.clear()
         self.recent_lbd_sum = 0
         if isinstance(self.config.restart, LubyRestarts):
-            self.luby_index += 1
             self.luby_limit = self.current_luby_limit()
 
     # ---- database reduction

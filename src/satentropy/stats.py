@@ -1,12 +1,13 @@
-"""Standardization, simple OLS with normal p-values, bootstrap, and the
-slope-comparison tests used to compare heuristic pairs."""
+"""Standardization, simple OLS with normal p-values, bootstrap resamples,
+and the slope-comparison tests used to compare heuristic pairs. The tests
+take their series as given: callers standardize them."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 
 def normal_cdf(z: float) -> float:
@@ -119,43 +120,13 @@ def _percentile_two_sided_p(values: Sequence[float]) -> float:
     return min(1.0, 2.0 * min(le / n, ge / n))
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    k: int
-    per_iteration: tuple
-    points_sampled: int
-    skipped: int
-
-    @property
-    def ci95_percentile(self) -> tuple[float, float]:
-        return _ci95(self.per_iteration)
-
-    @property
-    def p_value(self) -> float:
-        return _percentile_two_sided_p(self.per_iteration)
-
-
-def bootstrap(
-    rows: Sequence[tuple],
-    statistic: Callable[[list[tuple]], object],
-    k: int,
-    seed: int,
-) -> BootstrapResult:
-    """Percentile bootstrap of a statistic over rows of data.
-
-    Each of the k iterations draws len(rows) row indices uniformly with
-    replacement and applies the statistic to the resampled rows. Iterations
-    where the statistic raises ValueError (degenerate resample, e.g. a
-    constant x column) are skipped and counted. Deterministic in seed.
-    The interval and p-value properties apply to a float statistic.
-    """
+def resamples(rows: Sequence[tuple], k: int, seed: int) -> Iterator[list[tuple]]:
+    """k bootstrap resamples of rows, each len(rows) rows drawn uniformly
+    with replacement. Deterministic in seed."""
     n = len(rows)
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 rows and k >= 1 iterations")
     master = random.Random(seed)
-    per_iter: list[float] = []
-    skipped = 0
-    points = 0
     width = n.bit_length()
     for _ in range(k):
         # n draws of randrange(n): getrandbits values of n or more are redrawn
@@ -164,16 +135,7 @@ def bootstrap(
             i = draw(width)
             if i < n:
                 sample.append(rows[i])
-        points += n
-        try:
-            per_iter.append(statistic(sample))
-        except ValueError:
-            skipped += 1
-    if not per_iter:
-        raise ValueError("all bootstrap iterations were degenerate")
-    return BootstrapResult(
-        k=k, per_iteration=tuple(per_iter), points_sampled=points, skipped=skipped
-    )
+        yield sample
 
 
 @dataclass(frozen=True)
@@ -192,24 +154,15 @@ class BetaGapResult:
     skipped: int
 
 
-def _checked(
-    series: Sequence[Sequence[float]], standardize_inputs: bool
-) -> list[list[float]]:
-    """Copies of equal-length series, standardized if asked."""
-    if len({len(xs) for xs in series}) != 1:
-        raise ValueError("series length mismatch")
-    return [standardize(xs) if standardize_inputs else list(xs) for xs in series]
-
-
 def delta_test(
     measure: Sequence[float],
     conflicts_a: Sequence[float],
     conflicts_b: Sequence[float],
-    standardize_inputs: bool = True,
 ) -> RegressionResult:
     """Regression of the per-point conflict gap (a - b) on the measure."""
-    xs, ca, cb = _checked((measure, conflicts_a, conflicts_b), standardize_inputs)
-    return ols(xs, [a - b for a, b in zip(ca, cb)])
+    if len(conflicts_a) != len(conflicts_b):
+        raise ValueError("series length mismatch")
+    return ols(measure, [a - b for a, b in zip(conflicts_a, conflicts_b)])
 
 
 def slope_gaps(
@@ -227,19 +180,17 @@ def slope_gaps(
     count as skipped."""
     pairs = list(dict.fromkeys(pair for gap in gaps for pair in gap))
     fits = {pair: ols(columns[pair[0]], columns[pair[1]]) for pair in pairs}
-
-    def fit_pairs(sample: list[tuple]) -> tuple:
+    per_iteration = []
+    for sample in resamples(list(zip(*columns.values())), k, seed):
         cols = dict(zip(columns, zip(*sample)))
         draws = []
         for x, y in pairs:
             draws += line_fit(cols[x], cols[y]) or (None, None)  # None: constant x
-        return tuple(draws)
-
-    boot = bootstrap(list(zip(*columns.values())), fit_pairs, k, seed)
+        per_iteration.append(draws)
 
     def result(pair_a: tuple[str, str], pair_b: tuple[str, str]) -> BetaGapResult:
         a, b = 2 * pairs.index(pair_a), 2 * pairs.index(pair_b)
-        kept = [d for d in boot.per_iteration if None not in (d[a], d[b])]
+        kept = [d for d in per_iteration if None not in (d[a], d[b])]
         if not kept:
             raise ValueError(
                 f"{pair_a[1]} on {pair_a[0]} vs {pair_b[1]} on {pair_b[0]}: all "
@@ -272,12 +223,10 @@ def delta_beta_test(
     conflicts_b: Sequence[float],
     k: int = 1000,
     seed: int = 0,
-    standardize_inputs: bool = True,
 ) -> BetaGapResult:
     """Compare the slopes of conflicts_a-vs-measure and conflicts_b-vs-measure
-    (`slope_gaps` with one gap, on standardized inputs if asked)."""
-    xs, ca, cb = _checked((measure, conflicts_a, conflicts_b), standardize_inputs)
-    columns = {"measure": xs, "conflicts_a": ca, "conflicts_b": cb}
+    (`slope_gaps` with one gap)."""
+    columns = dict(measure=measure, conflicts_a=conflicts_a, conflicts_b=conflicts_b)
     gap = (("measure", "conflicts_a"), ("measure", "conflicts_b"))
     return slope_gaps(columns, [gap], k, seed)[0]
 
@@ -288,11 +237,9 @@ def beta_gap_entropy_vs_density(
     conflicts: Sequence[float],
     k: int = 1000,
     seed: int = 0,
-    standardize_inputs: bool = True,
 ) -> BetaGapResult:
     """Compare the entropy-vs-conflicts slope with the density-vs-conflicts
     slope for a single solver, bootstrapping their gap with shared indices."""
-    e, d, c = _checked((entropy, density, conflicts), standardize_inputs)
-    columns = {"entropy": e, "density": d, "conflicts": c}
+    columns = {"entropy": entropy, "density": density, "conflicts": conflicts}
     gap = (("entropy", "conflicts"), ("density", "conflicts"))
     return slope_gaps(columns, [gap], k, seed)[0]

@@ -221,6 +221,17 @@ def _run_args(suite, out, *extra):
     return args + ["--out", str(out), "--runs-per-formula", "1", "--k", "20", *extra]
 
 
+def _json_edit(edit):
+    """A sidecar text edit that applies edit to the parsed JSON in place."""
+
+    def apply(text):
+        d = json.loads(text)
+        edit(d)
+        return json.dumps(d)
+
+    return apply
+
+
 def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -684,6 +695,37 @@ class TestGenAndExperiment:
         assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: profile sidecar {sidecar}: 'backbone_count' ")
+
+    @pytest.mark.parametrize(
+        "edit,why",
+        [
+            (lambda text: text[: len(text) // 2], "Expecting "),
+            (_json_edit(lambda d: d.pop("per_var")), "missing field 'per_var'"),
+            (
+                _json_edit(lambda d: [p.pop("r_exact") for p in d["per_var"]]),
+                "missing field 'r_exact'",
+            ),
+            (
+                _json_edit(lambda d: d["per_var"][0].update(r_exact="3/2")),
+                "'r_exact' '3/2' is not a ratio in [0, 1]",
+            ),
+        ],
+        ids=["truncated", "no-per-var", "no-r-exact", "bad-r-exact"],
+    )
+    def test_an_unreadable_sidecar_is_refused(
+        self, small_suite, tmp_path, capsys, monkeypatch, edit, why
+    ):
+        monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+        suite = tmp_path / "suite"
+        shutil.copytree(small_suite, suite)
+        row = min(pipeline.load_suite(suite), key=lambda r: r["formula_id"])
+        sidecar = suite / "profiles" / f"{row['formula_id']}.json"
+        sidecar.write_text(edit(sidecar.read_text()))
+        assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: profile sidecar {sidecar} cannot be read (")
+        assert why in err
+        assert err.endswith("; delete the sidecar to profile it again\n")
 
     def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

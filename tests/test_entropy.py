@@ -180,27 +180,23 @@ class TestBackbone:
         for seed, f in itertools.chain(*corpora):
             if count_models(f) == 0:
                 continue
-            size = len(backbone(f))
-            assert backbone_size(f) == size, seed
-            for k in range(size):
-                assert backbone_size(f, abort_above=k) == min(size, k + 1), seed
+            assert backbone_size(f) == len(backbone(f)), seed
 
-    def test_abort_below_decides_against_the_target(self):
-        # below k iff the size is, and exact otherwise; with both bounds
-        # at k, k exactly when the size is k (gen_with_backbone's test)
+    def test_target_decides_the_side_of_the_size(self):
+        # exact at the target, target + 1 above it, below it when the size
+        # is (gen_with_backbone's test)
         corpora = (criterion_1_corpus(), criterion_2_corpus())
         for seed, f in itertools.chain(*corpora):
             if count_models(f) == 0:
                 continue
             size = len(backbone(f))
-            for k in range(f.num_vars + 2):
-                got = backbone_size(f, abort_below=k)
-                assert (got < k) == (size < k), (seed, k)
-                if size >= k:
-                    assert got == size, (seed, k)
-                both = backbone_size(f, abort_above=k, abort_below=k)
-                assert (both == k) == (size == k), (seed, k)
+            for t in range(f.num_vars + 2):
+                got = backbone_size(f, t)
+                assert (got < t) == (size < t), (seed, t)
+                assert (got == t) == (size == t), (seed, t)
+                if size > t:
+                    assert got == t + 1, (seed, t)
 
     def test_size_abort_early(self):
         f = CnfFormula.from_clause_lists(3, [[1], [2], [3]])
-        assert backbone_size(f, abort_above=1) == 2
+        assert backbone_size(f, 1) == 2

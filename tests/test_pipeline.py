@@ -13,7 +13,13 @@ from satentropy import pipeline, stats
 from satentropy.cli import main
 from satentropy.cnf import parse_dimacs
 from satentropy.entropy import profile_formula
-from satentropy.solver import SolverConfig
+from satentropy.solver import (
+    GlucoseRestarts,
+    KeepLbdCutAtMost,
+    KeepSizeAtMost,
+    LubyRestarts,
+    SolverConfig,
+)
 from satentropy.pipeline import (
     ExperimentPlan,
     PlotPoint,
@@ -441,6 +447,23 @@ class TestSolverDefaultsFile:
             pipeline.load_solver_defaults(cfg)
 
 
+class TestSpecParsers:
+    @pytest.mark.parametrize(
+        "parse,spec,policy",
+        [
+            (pipeline.parse_restart, "luby", LubyRestarts(100)),
+            (pipeline.parse_restart, "glucose", GlucoseRestarts(50, 0.8)),
+            (pipeline.parse_restart, "glucose:40", GlucoseRestarts(40, 0.8)),
+            (pipeline.parse_restart, "glucose::0.7", GlucoseRestarts(50, 0.7)),
+            (pipeline.parse_keep, "lbd", KeepLbdCutAtMost(5)),
+            (pipeline.parse_keep, "size", KeepSizeAtMost(12)),
+        ],
+        ids=["luby", "glucose", "glucose:40", "glucose::0.7", "lbd", "size"],
+    )
+    def test_an_omitted_field_takes_its_default(self, parse, spec, policy):
+        assert parse(spec) == policy
+
+
 class TestProfileCacheEnvVar:
     def test_cache_redirected(self, suite_dir, tmp_path, monkeypatch):
         rows = pipeline.load_suite(suite_dir)
@@ -612,17 +635,17 @@ class TestGoldenReport:
     def test_small_records_skip_degenerate_resamples(self):
         plan = make_plan("decay")
         recs = small_records([plan.label_a, plan.label_b])
-        e = [r["entropy"] for r in recs]
-        d = [r["density"] for r in recs]
+        e, d = ([r[m] for r in recs] for m in ("entropy", "density"))
         ca = [r["conflicts"][plan.label_a] for r in recs]
         cb = [r["conflicts"][plan.label_b] for r in recs]
+        e, d, ca, cb = map(stats.standardize, (e, d, ca, cb))
         gap = stats.delta_beta_test(e, ca, cb, k=self.K, seed=self.SEED)
         assert 0 < gap.skipped < self.K
         gap = stats.beta_gap_entropy_vs_density(e, d, ca, k=self.K, seed=self.SEED)
         assert 0 < gap.skipped < self.K
 
     def test_report_fits_each_pair_once_from_one_bootstrap(self, tmp_path, monkeypatch):
-        calls = {"line_fit": 0, "ols": 0, "bootstrap": 0}
+        calls = {"line_fit": 0, "ols": 0, "resamples": 0}
 
         def counting(name):
             real = getattr(stats, name)
@@ -642,10 +665,10 @@ class TestGoldenReport:
         # ols call makes one more line fit
         for plan_name, fits, ols_calls in (("decay", 4 * k, 9), ("hardness", 2 * k, 5)):
             plan = make_plan(plan_name)
-            calls.update(line_fit=0, ols=0, bootstrap=0)
+            calls.update(line_fit=0, ols=0, resamples=0)
             records = self.records(plan, "synthetic")
             emit_report(plan, records, tmp_path, k=k, seed=self.SEED)
-            expected = {"line_fit": fits + ols_calls, "ols": ols_calls, "bootstrap": 1}
+            expected = {"line_fit": fits + ols_calls, "ols": ols_calls, "resamples": 1}
             assert calls == expected, plan_name
 
     def test_shared_gaps_equal_the_gaps_computed_alone(self, tmp_path, monkeypatch):
@@ -668,9 +691,12 @@ class TestGoldenReport:
                 calls.clear()
                 emit_report(plan, recs, tmp_path / f"{plan_name}-{which}", **kw)
                 [shared] = calls
-                e = [r["entropy"] for r in recs]
-                d = [r["density"] for r in recs]
-                cs = [[r["conflicts"][label] for r in recs] for label in labels]
+                e = stats.standardize([r["entropy"] for r in recs])
+                d = stats.standardize([r["density"] for r in recs])
+                cs = [
+                    stats.standardize([r["conflicts"][label] for r in recs])
+                    for label in labels
+                ]
                 alone = []
                 if plan.label_b:
                     alone += [stats.delta_beta_test(m, *cs, **kw) for m in (e, d)]

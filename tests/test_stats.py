@@ -4,9 +4,7 @@ import random
 import pytest
 
 from satentropy.stats import (
-    BootstrapResult,
     beta_gap_entropy_vs_density,
-    bootstrap,
     delta_beta_test,
     delta_test,
     line_fit,
@@ -14,6 +12,8 @@ from satentropy.stats import (
     normal_cdf,
     ols,
     pearson,
+    percentile,
+    resamples,
     slope_gaps,
     standardize,
 )
@@ -155,78 +155,63 @@ class TestNormalCdf:
 
 class TestBootstrap:
     def test_resamples_are_the_randrange_draws(self):
-        # the resampling loop draws its own indices from getrandbits; they
-        # must be the ones randrange(n) gives on each iteration's stream
+        # resamples draws its own indices from getrandbits; they must be
+        # the ones randrange(n) gives on each iteration's stream
         for n in (*range(2, 40), 64, 65, 100, 1000):
             rows = [(i,) for i in range(n)]
-            seen = []
-            bootstrap(rows, lambda sample: seen.append(sample) or 0.0, 5, n)
             master = random.Random(n)
-            for sample in seen:
+            for sample in resamples(rows, 5, n):
                 rng = random.Random(master.getrandbits(64))
                 assert sample == [rows[rng.randrange(n)] for _ in range(n)], n
 
     def test_single_iteration(self):
-        r = bootstrap([(1.0,), (2.0,)], lambda s: mean([t[0] for t in s]), 1, 0)
-        assert len(r.per_iteration) == 1
-
-    def test_constant_statistic(self):
-        rows = [(5.0,)] * 10
-        r = bootstrap(rows, lambda s: mean([t[0] for t in s]), 50, 1)
-        assert all(v == 5.0 for v in r.per_iteration)
-        assert r.ci95_percentile == (5.0, 5.0)
-
-    def test_point_count(self):
-        rows = [(float(i), float(i)) for i in range(100)]
-        r = bootstrap(rows, lambda s: 0.0, 37, 2)
-        assert r.points_sampled == 100 * 37
+        assert len(list(resamples([(1.0,), (2.0,)], 1, 0))) == 1
 
     def test_deterministic_in_seed(self):
         rows = [(float(i),) for i in range(20)]
-        stat = lambda s: mean([t[0] for t in s])
-        assert bootstrap(rows, stat, 30, 9) == bootstrap(rows, stat, 30, 9)
-        assert (
-            bootstrap(rows, stat, 30, 9).per_iteration
-            != bootstrap(rows, stat, 30, 10).per_iteration
-        )
+        assert list(resamples(rows, 30, 9)) == list(resamples(rows, 30, 9))
+        assert list(resamples(rows, 30, 9)) != list(resamples(rows, 30, 10))
 
-    def test_noiseless_line_slope_constant(self, rng):
+    def test_noiseless_line_slope_constant(self):
         rows = [(x, 3.0 * x - 1.0) for x in range(10)]
-
-        def slope(sample):
-            return ols([r[0] for r in sample], [r[1] for r in sample]).beta
-
-        r = bootstrap(rows, slope, 50, 4)
-        for v in r.per_iteration:
-            assert v == pytest.approx(3.0, abs=1e-9)
-        # degenerate resamples (constant x) are skipped, not errored
-        assert r.skipped + len(r.per_iteration) == 50
+        for sample in resamples(rows, 50, 4):
+            fit = line_fit([r[0] for r in sample], [r[1] for r in sample])
+            if len({r[0] for r in sample}) == 1:
+                assert fit is None
+            else:
+                assert fit[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_slope_gap_tests_run_this_loop(self):
-        # the paired slope tests are this bootstrap with a two-fit statistic
+        # the paired slope tests fit both slopes on each of these resamples
         m = [0.0, 0.0, 0.0, 1.0, 2.0]
         ca = [1.0, 3.0, 2.0, 5.0, 4.0]
         cb = [6.0, 5.0, 5.0, 2.0, 3.0]
-
-        def gap(sample):
+        gaps = []
+        for sample in resamples(list(zip(m, ca, cb)), 300, 6):
             xs = [r[0] for r in sample]
-            fit_a = ols(xs, [r[1] for r in sample])
-            return fit_a.beta - ols(xs, [r[2] for r in sample]).beta
-
-        boot = bootstrap(list(zip(m, ca, cb)), gap, 300, 6)
-        r = delta_beta_test(m, ca, cb, k=300, seed=6, standardize_inputs=False)
-        assert 0 < r.skipped == boot.skipped
-        assert r.gap_ci95 == boot.ci95_percentile
-        assert r.gap_p == boot.p_value
+            fit_a = line_fit(xs, [r[1] for r in sample])
+            if fit_a is not None:
+                gaps.append(fit_a[0] - line_fit(xs, [r[2] for r in sample])[0])
+        r = delta_beta_test(m, ca, cb, k=300, seed=6)
+        assert 0 < r.skipped == 300 - len(gaps)
+        ordered = sorted(gaps)
+        assert r.gap_ci95 == (percentile(ordered, 0.025), percentile(ordered, 0.975))
+        below, above = sum(g <= 0 for g in gaps), sum(g >= 0 for g in gaps)
+        assert r.gap_p == min(1.0, 2.0 * min(below, above) / len(gaps))
 
 
 class TestDeltaTest:
     def test_identical_heuristics(self):
         m = [0.1, 0.5, 0.9, 0.3]
         c = [3.0, 1.0, 2.0, 4.0]
-        r = delta_test(m, c, c)
+        r = delta_test(standardize(m), standardize(c), standardize(c))
         assert r.beta == 0.0
         assert r.p_two_sided == 1.0
+
+    def test_unequal_conflict_series_are_refused(self):
+        # a - b over zip would drop the longer series' tail
+        with pytest.raises(ValueError, match="series length mismatch"):
+            delta_test([0.1, 0.5, 0.9], [3.0, 1.0, 2.0], [3.0, 1.0])
 
     def test_identical_heuristics_on_two_points(self):
         # refused like every other 2-point input
@@ -237,7 +222,7 @@ class TestDeltaTest:
         m = [0.0, 1.0, 2.0, 3.0]
         c2 = [5.0, 5.0, 5.0, 5.0]
         c1 = [c + x for c, x in zip(c2, m)]
-        r = delta_test(m, c1, c2, standardize_inputs=False)
+        r = delta_test(m, c1, c2)
         assert r.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_slope_recovered(self):
@@ -248,7 +233,7 @@ class TestDeltaTest:
             m = [rng.gauss(0, 1) for _ in range(80)]
             c2 = [rng.gauss(0, 1) for _ in m]
             c1 = [c - 2 * x + rng.gauss(0, 0.5) for c, x in zip(c2, m)]
-            r = delta_test(m, c1, c2, standardize_inputs=False)
+            r = delta_test(m, c1, c2)
             if r.ci95[0] <= -2.0 <= r.ci95[1]:
                 hits += 1
         assert hits / trials >= 0.93
@@ -258,6 +243,7 @@ class TestDeltaBetaTest:
     def test_identical_series_gap_zero(self):
         m = [0.1, 0.4, 0.7, 0.9, 0.2, 0.6]
         c = [5.0, 3.0, 2.0, 1.0, 4.0, 2.5]
+        m, c = standardize(m), standardize(c)
         r = delta_beta_test(m, c, c, k=100, seed=0)
         assert r.gap_ci95 == (0.0, 0.0)
         assert r.gap_p == 1.0
@@ -266,7 +252,7 @@ class TestDeltaBetaTest:
         m = [0.0, 1.0, 2.0, 3.0, 4.0]
         c1 = [1.0, 3.0, 4.0, 7.0, 8.0]
         c2 = [c + 5.0 for c in c1]
-        r = delta_beta_test(m, c1, c2, k=200, seed=1, standardize_inputs=False)
+        r = delta_beta_test(m, c1, c2, k=200, seed=1)
         assert r.gap_ci95 == pytest.approx((0.0, 0.0), abs=1e-9)
         assert r.intercept_gap_ci95[0] == pytest.approx(-5.0, abs=1e-9)
 
@@ -275,7 +261,7 @@ class TestDeltaBetaTest:
         m = [rng.gauss(0, 1) for _ in range(100)]
         c1 = [x + rng.gauss(0, 0.2) for x in m]
         c2 = [-x + rng.gauss(0, 0.2) for x in m]
-        r = delta_beta_test(m, c1, c2, k=500, seed=3, standardize_inputs=False)
+        r = delta_beta_test(m, c1, c2, k=500, seed=3)
         assert r.gap_ci95[0] > 0.0
         assert r.gap_p < 0.01
 
@@ -305,6 +291,7 @@ class TestBetaGapEntropyVsDensity:
         rng = random.Random(4)
         e = [rng.random() for _ in range(50)]
         c = [rng.random() for _ in range(50)]
+        e, c = standardize(e), standardize(c)
         r = beta_gap_entropy_vs_density(e, list(e), c, k=100, seed=4)
         assert r.gap_ci95 == (0.0, 0.0)
 
@@ -313,6 +300,7 @@ class TestBetaGapEntropyVsDensity:
         e = [rng.random() for _ in range(200)]
         d = [rng.random() for _ in range(200)]
         c = [300 - 80 * x + rng.gauss(0, 5) for x in e]
+        e, d, c = map(standardize, (e, d, c))
         r = beta_gap_entropy_vs_density(e, d, c, k=400, seed=5)
         assert not (r.gap_ci95[0] <= 0.0 <= r.gap_ci95[1])
 
@@ -325,6 +313,7 @@ class TestBetaGapEntropyVsDensity:
             e = [rng.random() for _ in range(60)]
             d = [rng.random() for _ in range(60)]
             c = [rng.random() for _ in range(60)]
+            e, d, c = map(standardize, (e, d, c))
             r = beta_gap_entropy_vs_density(e, d, c, k=200, seed=t)
             if r.gap_p < 0.05:
                 false_pos += 1
