@@ -52,10 +52,11 @@ class BenchSpec:
     max_attempts: int = 100_000
 
     def __post_init__(self):
-        if not 0 <= self.target_backbone <= self.num_vars:
-            raise ValueError("target_backbone must be in 0..num_vars")
-        if self.num_clauses < 1:
-            raise ValueError("num_clauses must be >= 1")
+        t, n, m = self.target_backbone, self.num_vars, self.num_clauses
+        if not 0 <= t <= n:
+            raise ValueError(f"backbone target {t} must be in 0..{n}")
+        if m < 1:
+            raise ValueError(f"backbone target {t}: num_clauses must be >= 1, not {m}")
 
 
 def _attempt_seed(seed: int, attempt: int) -> int:

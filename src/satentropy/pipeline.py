@@ -2,6 +2,13 @@
 generated suite, persist per-formula records, and emit plot data and
 regression tables.
 
+Each formula is solved runs_per_formula times under each of plan.configs,
+run r seeded by (seed, formula_id, r). A solve record holds formula_id,
+the config label, run, result, conflicts, restarts and learned_deleted.
+formula_record turns a formula's solve records into its records.jsonl row,
+whose conflicts are each config's mean over its runs, and raises
+RuntimeError (exit 2) when the solves disagree on the verdict.
+
 This module also owns the suite format: build_suite writes a suite's
 DIMACS files, manifest.csv and profile sidecars, and load_suite,
 load_profile and run_experiment read them back."""
@@ -52,12 +59,9 @@ class ExperimentPlan:
             )
 
     @property
-    def label_a(self) -> str:
-        return self.config_a.label()
-
-    @property
-    def label_b(self) -> str | None:
-        return self.config_b.label() if self.config_b else None
+    def configs(self) -> tuple[tuple[str, SolverConfig], ...]:
+        """(label, config) of config A, then of config B if there is one."""
+        return tuple((c.label(), c) for c in (self.config_a, self.config_b) if c)
 
 
 CACHE_DIR_ENV = "SATENTROPY_CACHE_DIR"
@@ -336,44 +340,39 @@ def build_suite(
         num_clauses.update(tuned_clause_counts(num_vars, targets))
     num_clauses.update(clauses_per_target)
 
+    # every spec is checked before the first draw, so a bad bucket writes nothing
+    specs = [
+        BenchSpec(num_vars, num_clauses[t], t, seed + 7919 * t + i, max_attempts)
+        for t in targets
+        for i in range(per_bucket)
+    ]
     rows = []
-    for target in targets:
-        for i in range(per_bucket):
-            spec = BenchSpec(
-                num_vars=num_vars,
-                num_clauses=num_clauses[target],
-                target_backbone=target,
-                seed=seed + 7919 * target + i,
-                max_attempts=max_attempts,
+    for index, spec in enumerate(specs):
+        target, i = spec.target_backbone, index % per_bucket
+        formula, attempts = gen_with_backbone(spec, force=target in force_targets)
+        profile = profile_formula(formula)
+        if profile.backbone_count != target:
+            raise AssertionError(
+                f"accepted instance has backbone {profile.backbone_count}, "
+                f"expected {target}"
             )
-            formula, attempts = gen_with_backbone(
-                spec, force=target in force_targets
-            )
-            profile = profile_formula(formula)
-            if profile.backbone_count != target:
-                raise AssertionError(
-                    f"accepted instance has backbone {profile.backbone_count}, "
-                    f"expected {target}"
-                )
-            fid = content_hash(formula)
-            fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
-            _write_atomic(out / fname, write_dimacs(formula))
-            write_profile(_profile_path(out, fid), profile)
-            rows.append(
-                {
-                    "file": fname,
-                    "formula_id": fid,
-                    "seed": spec.seed,
-                    "num_vars": formula.num_vars,
-                    "num_clauses": formula.num_clauses,
-                    "backbone": target,
-                    "entropy": profile.entropy,
-                    "density": profile.density,
-                    "model_count": profile.model_count,
-                    "forced": int(target in force_targets),
-                    "attempts": attempts,
-                }
-            )
+        fid = content_hash(formula)
+        fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
+        _write_atomic(out / fname, write_dimacs(formula))
+        write_profile(_profile_path(out, fid), profile)
+        rows.append({
+            "file": fname,
+            "formula_id": fid,
+            "seed": spec.seed,
+            "num_vars": formula.num_vars,
+            "num_clauses": formula.num_clauses,
+            "backbone": target,
+            "entropy": profile.entropy,
+            "density": profile.density,
+            "model_count": profile.model_count,
+            "forced": int(target in force_targets),
+            "attempts": attempts,
+        })
     _write_atomic(out / "manifest.csv", csv_text(rows))
     return rows
 
@@ -469,9 +468,9 @@ def _run_seed(plan_seed: int, formula_id: str, run: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _formula_record(args) -> dict:
-    """Worker: one formula's record from one parse: its mean conflicts under
-    each config over all runs, and its cached or fresh profile."""
+def _solve_formula(args) -> tuple[FormulaProfile, list[dict]]:
+    """Worker: from one parse, one formula's cached or fresh profile and its
+    solve records, one per (config, run) of the plan in plan.configs order."""
     suite_dir, path, formula_id, plan = args
     formula = parse_dimacs(Path(path).read_text())
     # the profile sidecar and the record are keyed by formula_id, so a file
@@ -482,31 +481,42 @@ def _formula_record(args) -> dict:
             f"{path} hashes to {found}, not to its manifest formula_id "
             f"{formula_id}: the file changed after the suite was written"
         )
-    configs = [(plan.label_a, plan.config_a)]
-    if plan.config_b is not None:
-        configs.append((plan.label_b, plan.config_b))
-    conflicts: dict[str, float] = {}
-    verdicts: dict[str, set] = {}
-    for label, cfg in configs:
-        totals = []
+    solves = []
+    for label, cfg in plan.configs:
         for run in range(plan.runs_per_formula):
             seed = _run_seed(plan.seed, formula_id, run)
             st = solve(formula, replace(cfg, seed=seed))
-            totals.append(st.conflicts)
-            verdicts.setdefault(label, set()).add(st.result)
-        conflicts[label] = sum(totals) / len(totals)
-    all_verdicts = set().union(*verdicts.values())
-    if len(all_verdicts) != 1:
+            solves.append({
+                "formula_id": formula_id, "config": label, "run": run,
+                "result": st.result, "conflicts": st.conflicts,
+                "restarts": st.restarts, "learned_deleted": st.learned_deleted,
+            })
+    return ensure_profile(suite_dir, formula_id, formula), solves
+
+
+def formula_record(
+    plan: ExperimentPlan, profile: FormulaProfile, solves: list[dict]
+) -> dict:
+    """One formula's records.jsonl row from its profile and solve records;
+    the one place that averages solves. No I/O and no solving."""
+    formula_id = solves[0]["formula_id"]
+    per_config = {
+        label: [s for s in solves if s["config"] == label] for label, _ in plan.configs
+    }
+    verdicts = {label: {s["result"] for s in ss} for label, ss in per_config.items()}
+    if len(set().union(*verdicts.values())) != 1:
         raise RuntimeError(
             f"solver verdict mismatch on {formula_id}: {verdicts} (soundness bug)"
         )
-    profile = ensure_profile(suite_dir, formula_id, formula)
     return {
         "formula_id": formula_id,
         "entropy": profile.entropy,
         "density": profile.density,
         "backbone": profile.backbone_count,
-        "conflicts": conflicts,
+        "conflicts": {
+            label: sum(s["conflicts"] for s in ss) / len(ss)
+            for label, ss in per_config.items()
+        },
         "seed": plan.seed,
         "plan": plan.name,
     }
@@ -534,11 +544,12 @@ def run_experiment(
     records.jsonl under out_dir in manifest order, each as soon as it is
     done. Writes run.json (with the suite's digest and the report's
     bootstrap k) first and refuses a directory that holds another run, or
-    a k below 1.
+    a k or jobs below 1.
     Resumable: recorded formulas are skipped. Returns all records sorted by
     formula_id."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, not {k}")
+    for name, value in (("k", k), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = sorted(load_suite(suite_dir), key=lambda r: r["formula_id"])
@@ -563,14 +574,13 @@ def run_experiment(
     new_records = []
     if todo:
         with records_path.open("a") as fh, _mapper(jobs, len(todo)) as map_fn:
-            for rec in map_fn(_formula_record, todo):
+            for profile, solves in map_fn(_solve_formula, todo):
+                rec = formula_record(plan, profile, solves)
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 fh.flush()
                 new_records.append(rec)
 
-    all_records = list(existing.values()) + new_records
-    all_records.sort(key=lambda r: r["formula_id"])
-    return all_records
+    return sorted([*existing.values(), *new_records], key=lambda r: r["formula_id"])
 
 
 def _read_records(path: Path) -> tuple[list[dict], int]:
@@ -754,7 +764,8 @@ def emit_report(
         raise ValueError("empty record set: nothing to report")
     files: dict[str, str] = {}
 
-    labels = [plan.label_a] + ([plan.label_b] if plan.label_b else [])
+    labels = [label for label, _ in plan.configs]
+    paired = len(labels) == 2
 
     rec_rows = []
     for r in records:
@@ -770,11 +781,11 @@ def emit_report(
     files["records.csv"] = csv_text(rec_rows)
 
     for measure in ("entropy", "density"):
-        if plan.label_b:
-            value_fn = lambda r: r["conflicts"][plan.label_a] - r["conflicts"][plan.label_b]
+        if paired:
+            value_fn = lambda r: r["conflicts"][labels[0]] - r["conflicts"][labels[1]]
             stem = f"plot_{plan.name}_gap_vs_{measure}"
         else:
-            value_fn = lambda r: r["conflicts"][plan.label_a]
+            value_fn = lambda r: r["conflicts"][labels[0]]
             stem = f"plot_{plan.name}_conflicts_vs_{measure}"
         points, trend = aggregate_plot(records, measure, value_fn)
         rows = [
@@ -783,26 +794,22 @@ def emit_report(
         ]
         files[f"{stem}.csv"] = csv_text(rows)
         if trend is not None:
-            files[f"{stem}_trend.csv"] = csv_text(
-                [
-                    {
-                        "beta": f"{trend.beta:.12g}",
-                        "intercept": f"{trend.intercept:.12g}",
-                        "p_two_sided": _fmt_p(trend.p_two_sided),
-                    }
-                ]
-            )
+            files[f"{stem}_trend.csv"] = csv_text([{
+                "beta": f"{trend.beta:.12g}",
+                "intercept": f"{trend.intercept:.12g}",
+                "p_two_sided": _fmt_p(trend.p_two_sided),
+            }])
 
     ys = [f"conflicts[{label}]" for label in labels]
     raw = {m: [r[m] for r in records] for m in ("entropy", "density")}
     raw.update((y, [r["conflicts"][lb] for r in records]) for y, lb in zip(ys, labels))
     cols = {name: stats.standardize(xs) for name, xs in raw.items()}
     # one bootstrap for all slope gaps: a vs b per measure, then per config
-    gaps = [((m, ys[0]), (m, ys[1])) for m in ("entropy", "density") if plan.label_b]
+    gaps = [((m, ys[0]), (m, ys[1])) for m in ("entropy", "density") if paired]
     gaps += [(("entropy", y), ("density", y)) for y in ys]
     results = stats.slope_gaps(cols, gaps, k, seed)
 
-    if plan.label_b:
+    if paired:
         ca, cb = cols[ys[0]], cols[ys[1]]
         deltas = [stats.delta_test(cols[m], ca, cb) for m in ("entropy", "density")]
         table = comparison_table(deltas, results[:2])
@@ -815,15 +822,11 @@ def emit_report(
 
     # cross-measure check: are entropy and density themselves correlated?
     xm = stats.ols(cols["entropy"], cols["density"])
-    files["cross_measure.csv"] = csv_text(
-        [
-            {
-                "beta_ci": _fmt_ci(xm.ci95),
-                "beta": f"{xm.beta:.12g}",
-                "p_two_sided": _fmt_p(xm.p_two_sided),
-            }
-        ]
-    )
+    files["cross_measure.csv"] = csv_text([{
+        "beta_ci": _fmt_ci(xm.ci95),
+        "beta": f"{xm.beta:.12g}",
+        "p_two_sided": _fmt_p(xm.p_two_sided),
+    }])
 
     paths = [Path(out_dir) / name for name in files]
     for path, text in zip(paths, files.values()):

@@ -199,7 +199,7 @@ def test_criterion_7_hardness_trend(suite, tmp_path):
     assert len(records) == len(rows) and len(records) >= 30
     reg = ols(
         standardize([r["entropy"] for r in records]),
-        standardize([r["conflicts"][plan.label_a] for r in records]),
+        standardize([r["conflicts"][plan.configs[0][0]] for r in records]),
     )
     assert reg.beta < 0.0
     assert reg.p_two_sided < 0.01

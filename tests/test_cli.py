@@ -617,6 +617,27 @@ class TestGenAndExperiment:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not suite.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--backbones", "2,11"], "backbone target 11 must be in 0..10"),
+            (
+                ["--backbones", "2,6", "--clauses-per-bucket", "6=0"],
+                "backbone target 6: num_clauses must be >= 1, not 0",
+            ),
+        ],
+        ids=["target-above-vars", "no-clauses"],
+    )
+    def test_bad_bucket_writes_nothing(self, tmp_path, capsys, extra, message):
+        # the good bucket comes first, and is not drawn either
+        suite = tmp_path / "suite"
+        argv = ["gen", "--vars", "10", "--per-bucket", "1", "--seed", "3"]
+        argv += ["--out", str(suite)]
+        assert main(argv + extra) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not suite.exists()
+        assert main(argv + ["--backbones", "2"]) == EXIT_OK
+
     def test_gen_into_a_non_empty_directory_is_refused(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -644,8 +665,10 @@ class TestGenAndExperiment:
             ("--runs-per-formula", "0", "runs_per_formula must be at least 1, not 0"),
             ("--runs-per-formula", "-2", "runs_per_formula must be at least 1, not -2"),
             ("--k", "0", "k must be at least 1, not 0"),
+            ("--jobs", "0", "jobs must be at least 1, not 0"),
+            ("--jobs", "-4", "jobs must be at least 1, not -4"),
         ],
-        ids=["no-runs", "negative-runs", "no-resamples"],
+        ids=["no-runs", "negative-runs", "no-resamples", "no-jobs", "negative-jobs"],
     )
     def test_bad_run_parameter_is_refused_before_run_json(
         self, small_suite, tmp_path, capsys, option, value, message

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -11,7 +12,7 @@ import pytest
 
 from satentropy import pipeline, stats
 from satentropy.cli import main
-from satentropy.cnf import parse_dimacs
+from satentropy.cnf import CnfFormula, parse_dimacs
 from satentropy.entropy import profile_formula
 from satentropy.solver import (
     GlucoseRestarts,
@@ -73,7 +74,7 @@ class TestMakePlan:
         for name in ("deletion", "lbdcut", "restarts", "decay"):
             plan = make_plan(name)
             assert plan.config_b is not None
-            assert plan.label_a != plan.label_b
+            assert len({label for label, _ in plan.configs}) == 2
 
     def test_hardness_single_config(self):
         plan = make_plan("hardness")
@@ -140,7 +141,10 @@ class TestMakePlan:
         for name, (field, a, b, over_a, over_b) in self.LABELS.items():
             for base, want in ((None, (a, b)), (overrides, (over_a, over_b))):
                 plan = make_plan(name, base_overrides=base)
-                assert (plan.label_a, plan.label_b) == want, (name, base)
+                labels = [label for label, _ in plan.configs]
+                assert labels == [w for w in want if w is not None], (name, base)
+                configs = [config for _, config in plan.configs]
+                assert configs == [c for c in (plan.config_a, plan.config_b) if c]
                 if field is None:
                     assert plan.config_b is None
                     continue
@@ -158,8 +162,7 @@ class TestRunExperiment:
         records = run_experiment(plan, suite_dir, tmp_path / "out")
         assert len(records) == 12
         for rec in records:
-            assert plan.label_a in rec["conflicts"]
-            assert plan.label_b in rec["conflicts"]
+            assert set(rec["conflicts"]) == {label for label, _ in plan.configs}
         on_disk = load_records(tmp_path / "out")
         assert on_disk == records
 
@@ -219,7 +222,7 @@ class TestRunExperiment:
             return real_solve(formula, cfg)
 
         monkeypatch.setattr(pipeline, "solve", recording_solve)
-        pipeline._formula_record((suite_dir, row["path"], row["formula_id"], plan))
+        pipeline._solve_formula((suite_dir, row["path"], row["formula_id"], plan))
         expected = [
             dataclasses.replace(
                 cfg, seed=pipeline._run_seed(plan.seed, row["formula_id"], run)
@@ -252,6 +255,89 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
 
+def _solves(formula_id, label, results, conflicts):
+    """Hand-built solve records of one config, one per run."""
+    return [
+        {
+            "formula_id": formula_id,
+            "config": label,
+            "run": run,
+            "result": result,
+            "conflicts": c,
+            "restarts": run,
+            "learned_deleted": 2 * run,
+        }
+        for run, (result, c) in enumerate(zip(results, conflicts))
+    ]
+
+
+class TestFormulaRecord:
+    PROFILE = profile_formula(CnfFormula.from_clause_lists(3, [[1, 2], [-1, 3]]))
+
+    @pytest.fixture(autouse=True)
+    def no_solving_or_io(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the aggregation solved, parsed or touched a file")
+
+        for name in ("solve", "parse_dimacs", "ensure_profile", "_write_atomic"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+
+    def _row(self, plan, formula_id, conflicts):
+        return {
+            "formula_id": formula_id,
+            "entropy": self.PROFILE.entropy,
+            "density": self.PROFILE.density,
+            "backbone": self.PROFILE.backbone_count,
+            "conflicts": conflicts,
+            "seed": plan.seed,
+            "plan": plan.name,
+        }
+
+    def test_paired_plan_averages_each_config(self):
+        plan = make_plan("decay", runs_per_formula=3, seed=9)
+        (label_a, _), (label_b, _) = plan.configs
+        a, b = [3, 4, 4], [10, 0, 7]
+        solves = _solves("f1", label_a, ["SAT"] * 3, a)
+        solves += _solves("f1", label_b, ["SAT"] * 3, b)
+        means = {label_a: sum(a) / len(a), label_b: sum(b) / len(b)}
+        want = self._row(plan, "f1", means)
+        assert pipeline.formula_record(plan, self.PROFILE, solves) == want
+        assert want["conflicts"][label_a] == 11 / 3
+        # the solves' order does not matter
+        assert pipeline.formula_record(plan, self.PROFILE, solves[::-1]) == want
+
+    def test_hardness_averages_its_one_config(self):
+        plan = make_plan("hardness", runs_per_formula=2, seed=4)
+        [(label, _)] = plan.configs
+        solves = _solves("f2", label, ["UNSAT", "UNSAT"], [5, 8])
+        want = self._row(plan, "f2", {label: 6.5})
+        assert pipeline.formula_record(plan, self.PROFILE, solves) == want
+
+    @pytest.mark.parametrize(
+        "plan_name, results",
+        [
+            ("decay", (["SAT", "SAT"], ["UNSAT", "UNSAT"])),
+            ("decay", (["SAT", "SAT"], ["SAT", "UNSAT"])),
+            ("hardness", (["UNSAT", "SAT"],)),
+        ],
+        ids=["across-configs", "within-config-b", "within-hardness"],
+    )
+    def test_verdict_mismatch_is_a_runtime_error(self, plan_name, results):
+        plan = make_plan(plan_name, runs_per_formula=2)
+        labels = [label for label, _ in plan.configs]
+        solves = []
+        for label, verdicts in zip(labels, results):
+            solves += _solves("f7", label, verdicts, [1, 2])
+        with pytest.raises(RuntimeError) as raised:
+            pipeline.formula_record(plan, self.PROFILE, solves)
+        message = str(raised.value)
+        head, tail = "solver verdict mismatch on f7: ", " (soundness bug)"
+        assert message.startswith(head) and message.endswith(tail)
+        named = ast.literal_eval(message[len(head) : -len(tail)])
+        assert named == {label: set(v) for label, v in zip(labels, results)}
+
+
 SUITE = hashlib.sha256(b"manifest").hexdigest()
 
 
@@ -271,7 +357,7 @@ class TestRunFile:
 
     def test_round_trip_is_exact_where_labels_round(self, tmp_path):
         plan = make_plan("deletion", base_overrides=self.OVERRIDES)
-        assert plan.label_a == "glucose:50:0.812346|lbd:5|decay:0.987654"
+        assert plan.configs[0][0] == "glucose:50:0.812346|lbd:5|decay:0.987654"
         pipeline.write_run(tmp_path, plan, 10, SUITE)
         loaded, _ = pipeline.load_run(tmp_path)
         for config in (loaded.config_a, loaded.config_b):
@@ -369,10 +455,11 @@ class TestEmitReport:
             seed=0,
         )
         # remap labels onto the synthetic conflicts
+        (label_a, _), (label_b, _) = plan.configs
         for rec in records:
             rec["conflicts"] = {
-                plan.label_a: rec["conflicts"]["a"],
-                plan.label_b: rec["conflicts"]["b"],
+                label_a: rec["conflicts"]["a"],
+                label_b: rec["conflicts"]["b"],
             }
         emit_report(plan, records, tmp_path, k=100, seed=0)
         with (tmp_path / "comparison_table.csv").open() as fh:
@@ -400,8 +487,9 @@ class TestEmitReport:
     def test_cross_measure_written(self, tmp_path):
         records = synthetic_records(n=60, seed=4)
         plan = make_plan("hardness")
+        [(label, _)] = plan.configs
         for rec in records:
-            rec["conflicts"] = {plan.label_a: rec["conflicts"]["a"]}
+            rec["conflicts"] = {label: rec["conflicts"]["a"]}
         emit_report(plan, records, tmp_path, k=50, seed=0)
         assert (tmp_path / "cross_measure.csv").exists()
         assert (tmp_path / "hardness_table.csv").exists()
@@ -585,7 +673,7 @@ class TestGoldenReport:
 
     @staticmethod
     def records(plan, which):
-        labels = [plan.label_a] + ([plan.label_b] if plan.label_b else [])
+        labels = [label for label, _ in plan.configs]
         if which == "small":
             return small_records(labels)
         records = synthetic_records(n=40, seed=8, labels=("a", "b"))
@@ -634,10 +722,11 @@ class TestGoldenReport:
 
     def test_small_records_skip_degenerate_resamples(self):
         plan = make_plan("decay")
-        recs = small_records([plan.label_a, plan.label_b])
+        (label_a, _), (label_b, _) = plan.configs
+        recs = small_records([label_a, label_b])
         e, d = ([r[m] for r in recs] for m in ("entropy", "density"))
-        ca = [r["conflicts"][plan.label_a] for r in recs]
-        cb = [r["conflicts"][plan.label_b] for r in recs]
+        ca = [r["conflicts"][label_a] for r in recs]
+        cb = [r["conflicts"][label_b] for r in recs]
         e, d, ca, cb = map(stats.standardize, (e, d, ca, cb))
         gap = stats.delta_beta_test(e, ca, cb, k=self.K, seed=self.SEED)
         assert 0 < gap.skipped < self.K
@@ -685,7 +774,7 @@ class TestGoldenReport:
         kw = {"k": self.K, "seed": self.SEED}
         for plan_name in ("decay", "hardness"):
             plan = make_plan(plan_name)
-            labels = [plan.label_a] + ([plan.label_b] if plan.label_b else [])
+            labels = [label for label, _ in plan.configs]
             for which in ("synthetic", "small"):
                 recs = self.records(plan, which)
                 calls.clear()
@@ -698,7 +787,7 @@ class TestGoldenReport:
                     for label in labels
                 ]
                 alone = []
-                if plan.label_b:
+                if len(labels) == 2:
                     alone += [stats.delta_beta_test(m, *cs, **kw) for m in (e, d)]
                 alone += [stats.beta_gap_entropy_vs_density(e, d, c, **kw) for c in cs]
                 assert shared == alone, (plan_name, which)
@@ -717,14 +806,15 @@ class TestGoldenReport:
 
     def test_analyze_output_is_golden(self, tmp_path, capsys):
         plan = make_plan("decay")
+        (label_a, _), (label_b, _) = plan.configs
         digests = {}
         for which, test in self.ANALYZE:
             out = tmp_path / which
             emit_report(plan, self.records(plan, which), out, k=10, seed=0)
             argv = ["analyze", str(out / "records.csv"), "--test", test]
             argv += ["--k", str(self.K), "--seed", str(self.SEED)]
-            argv += ["--col-a", f"conflicts[{plan.label_a}]"]
-            argv += ["--col-b", f"conflicts[{plan.label_b}]"]
+            argv += ["--col-a", f"conflicts[{label_a}]"]
+            argv += ["--col-b", f"conflicts[{label_b}]"]
             capsys.readouterr()
             assert main(argv) == 0
             captured = capsys.readouterr()
