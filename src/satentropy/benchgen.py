@@ -14,7 +14,6 @@ pipeline.build_suite writes them out as a suite.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 
@@ -59,30 +58,17 @@ class BenchSpec:
             raise ValueError(f"backbone target {t}: num_clauses must be >= 1, not {m}")
 
 
-def _attempt_seed(seed: int, attempt: int) -> int:
-    digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
+def sub_seed(*parts) -> int:
+    """A 64-bit seed from the parts joined by ':': the first 8 bytes,
+    big-endian, of their sha256."""
+    digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _sample(rng: random.Random, n: int, k: int) -> list[int]:
-    """random.sample(range(1, n + 1), k) from the same getrandbits stream:
-    redraws at or above the bound, and on a repeat when it keeps a set."""
-    pooled = n <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
-    pool, picked = list(range(1, n + 1)), []
-    for m in range(n, n - k, -1) if pooled else [n] * k:
-        j = rng.getrandbits(m.bit_length())
-        while j >= m or not pooled and pool[j] in picked:
-            j = rng.getrandbits(m.bit_length())
-        picked.append(pool[j])
-        if pooled:
-            pool[j] = pool[m - 1]
-    return picked
 
 
 def gen_random_3sat(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
     """A uniform random 3-SAT formula: per clause, 3 distinct variables
-    drawn without replacement (_sample(rng, num_vars, 3), inlined) and
-    independent uniform signs."""
+    drawn without replacement (random.sample(range(1, num_vars + 1), 3)'s
+    draw, inlined) and independent uniform signs."""
     if num_vars < 3:
         raise ValueError("need at least 3 variables for 3-SAT")
     rng = random.Random(seed)
@@ -128,15 +114,15 @@ def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula,
     target = spec.target_backbone
     for attempt in range(spec.max_attempts):
         f = gen_random_3sat(
-            spec.num_vars, spec.num_clauses, _attempt_seed(spec.seed, attempt)
+            spec.num_vars, spec.num_clauses, sub_seed(spec.seed, attempt)
         )
         if force:
             # the pinned model comes from a fresh default solve
             model = find_model(f)
             if model is None:
                 continue
-            rng = random.Random(_attempt_seed(spec.seed ^ 0x5EED, attempt))
-            pinned = _sample(rng, spec.num_vars, target)
+            rng = random.Random(sub_seed(spec.seed ^ 0x5EED, attempt))
+            pinned = rng.sample(range(1, spec.num_vars + 1), target)
             units = tuple(
                 Clause((v if model[v] else -v,)) for v in sorted(pinned)
             )

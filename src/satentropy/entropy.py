@@ -1,6 +1,11 @@
 """Solution-space profiling: literal ratios, entropy, density, backbones.
 
 Profiles and the backbone set come from one exact counting pass.
+profile_from_counts is the one derivation of a profile from its counts
+(variable count, model count and each variable's exact ratio):
+profile_formula builds through it, and FormulaProfile.from_dict rebuilds
+a stored profile from its counts and refuses one whose other fields
+differ from what they give.
 backbone_size counts no models: it probes one incremental CDCL instance,
 one probe per candidate literal under the assumption that it is false,
 and can stop early once the size is known to lie above or below a
@@ -16,12 +21,7 @@ from typing import Callable
 
 from .cnf import CnfFormula
 # find_model is not called here; perfbench's tests find it at this binding
-from .counter import (
-    CountBudget,
-    conditioned_formula,
-    count_with_marginals,
-    find_model,
-)
+from .counter import conditioned_formula, count_with_marginals, find_model
 from .solver import SolverConfig, _Solver
 
 
@@ -66,28 +66,28 @@ class FormulaProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FormulaProfile":
-        variables = []
+        """The profile that a to_dict dict's vars, model_count and r_exact
+        values give; ValueError naming any other field that differs."""
+        ratios = []
         for p in d["per_var"]:
             r = Fraction(p["r_exact"]) if isinstance(p["r_exact"], str) else None
             if r is None or not 0 <= r <= 1:
                 raise ValueError(f"'r_exact' {p['r_exact']!r} is not a ratio in [0, 1]")
-            variables.append(
-                VariableProfile(
-                    var=p["v"],
-                    ratio_pos=r,
-                    entropy=p["e"],
-                    is_backbone=r == 0 or r == 1,
-                )
-            )
-        variables = tuple(variables)
-        return cls(
-            num_vars=d["vars"],
-            model_count=int(d["model_count"]),
-            entropy=d["entropy"],
-            density=d["density"],
-            backbone_count=d["backbone_count"],
-            variables=variables,
-        )
+            ratios.append(r)
+        n = d["vars"]
+        if len(ratios) != n:
+            raise ValueError(f"'per_var' has {len(ratios)} entries, not 'vars' {n!r}")
+        profile = profile_from_counts(n, int(d["model_count"]), ratios)
+        want = profile.to_dict()
+        fields = [
+            (repr(k), d[k], want[k]) for k in ("entropy", "density", "backbone_count")
+        ]
+        for i, (p, q) in enumerate(zip(d["per_var"], want["per_var"])):
+            fields += [(f"per_var[{i}] {k!r}", p[k], q[k]) for k in ("v", "r", "e")]
+        for name, stored, given in fields:
+            if stored != given:
+                raise ValueError(f"{name} is {stored!r}, but its counts give {given!r}")
+        return profile
 
 
 def variable_entropy(r) -> float:
@@ -101,50 +101,48 @@ def variable_entropy(r) -> float:
     return -rf * math.log2(rf) - (1.0 - rf) * math.log2(1.0 - rf)
 
 
+def profile_from_counts(
+    num_vars: int, model_count: int, ratios: list[Fraction]
+) -> FormulaProfile:
+    """The profile of a formula over num_vars variables with model_count
+    models, in ratios[v - 1] of which variable v is true: each variable's
+    entropy, the mean entropy, the density model_count / 2^num_vars and the
+    backbone count, which counts the ratios 0 and 1."""
+    variables = tuple(
+        VariableProfile(v, r, variable_entropy(r), is_backbone=r == 0 or r == 1)
+        for v, r in enumerate(ratios, 1)
+    )
+    return FormulaProfile(
+        num_vars=num_vars,
+        model_count=model_count,
+        entropy=sum(p.entropy for p in variables) / num_vars if num_vars else 1.0,
+        density=float(Fraction(model_count, 1 << num_vars)),
+        backbone_count=sum(p.is_backbone for p in variables),
+        variables=variables,
+    )
+
+
 def profile_formula(
-    formula: CnfFormula,
-    count_fn: Callable[[CnfFormula], int] | None = None,
-    budget: CountBudget | None = None,
+    formula: CnfFormula, count_fn: Callable[[CnfFormula], int] | None = None
 ) -> FormulaProfile:
     """Full solution-space profile of a satisfiable formula.
 
-    By default every ratio comes from one count_with_marginals pass, and
-    `budget` bounds that single pass. An injected `count_fn` instead gets
-    exactly num_vars + 1 calls: one for the unconditioned count, then one
-    per variable for the count conditioned on its positive literal; `budget`
-    is then unused.
+    By default every ratio comes from one count_with_marginals pass. An
+    injected `count_fn` instead gets exactly num_vars + 1 calls: one for the
+    unconditioned count, then one per variable for the count conditioned on
+    its positive literal.
     """
     if count_fn is None:
-        total, marginals = count_with_marginals(formula, budget)
+        total, marginals = count_with_marginals(formula)
         positive_count = marginals.__getitem__
     else:
         total = count_fn(formula)
         positive_count = lambda v: count_fn(conditioned_formula(formula, v))
     if total == 0:
         raise UnsatisfiableFormula("entropy undefined for unsatisfiable formula")
-
-    variables = []
-    for v in range(1, formula.num_vars + 1):
-        r = Fraction(positive_count(v), total)
-        variables.append(
-            VariableProfile(
-                var=v,
-                ratio_pos=r,
-                entropy=variable_entropy(r),
-                is_backbone=r == 0 or r == 1,
-            )
-        )
-
     n = formula.num_vars
-    mean_entropy = sum(p.entropy for p in variables) / n if n else 1.0
-    return FormulaProfile(
-        num_vars=n,
-        model_count=total,
-        entropy=mean_entropy,
-        density=float(Fraction(total, 1 << n)),
-        backbone_count=sum(p.is_backbone for p in variables),
-        variables=tuple(variables),
-    )
+    ratios = [Fraction(positive_count(v), total) for v in range(1, n + 1)]
+    return profile_from_counts(n, total, ratios)
 
 
 def backbone(formula: CnfFormula) -> set[int]:

@@ -3,15 +3,18 @@ generated suite, persist per-formula records, and emit plot data and
 regression tables.
 
 Each formula is solved runs_per_formula times under each of plan.configs,
-run r seeded by (seed, formula_id, r). A solve record holds formula_id,
-the config label, run, result, conflicts, restarts and learned_deleted.
-formula_record turns a formula's solve records into its records.jsonl row,
-whose conflicts are each config's mean over its runs, and raises
-RuntimeError (exit 2) when the solves disagree on the verdict.
+run r seeded by sub_seed(seed, formula_id, r). A solve record holds
+formula_id, the config label, run, result, conflicts, restarts and
+learned_deleted. formula_record turns a formula's solve records into its
+records.jsonl row, whose conflicts are each config's mean over its runs,
+and raises RuntimeError (exit 2) when the solves disagree on the verdict.
 
 This module also owns the suite format: build_suite writes a suite's
 DIMACS files, manifest.csv and profile sidecars, and load_suite,
-load_profile and run_experiment read them back."""
+load_profile and run_experiment read them back. load_profile reads a
+sidecar through FormulaProfile.from_dict, which refuses one whose stored
+fields differ from what its counts give; ensure_profile checks only what
+needs the formula, the sidecar's variable count."""
 
 from __future__ import annotations
 
@@ -24,11 +27,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, stats
-from .benchgen import BenchSpec, gen_with_backbone, tuned_clause_counts
+from .benchgen import BenchSpec, gen_with_backbone, sub_seed, tuned_clause_counts
 from .cnf import CnfFormula, content_hash, parse_dimacs, write_dimacs
 from .entropy import FormulaProfile, profile_formula
 from .solver import (
@@ -265,25 +267,19 @@ def ensure_profile(
     suite_dir: str | Path, formula_id: str, formula: CnfFormula
 ) -> FormulaProfile:
     """Cached profile lookup; profiles on the missing path, never fails
-    silently. A cached sidecar must agree with its formula and itself."""
+    silently. A cached sidecar must agree with itself (load_profile) and
+    have its formula's variable count."""
     path = _profile_path(suite_dir, formula_id)
     cached = load_profile(suite_dir, formula_id)
     if cached is None:
         profile = profile_formula(formula)
         write_profile(path, profile)
         return profile
-    n, per_var = formula.num_vars, cached.variables
-    for field, ok in (
-        ("vars", cached.num_vars == n),
-        ("per_var", [p.var for p in per_var] == list(range(1, n + 1))),
-        ("backbone_count", cached.backbone_count == sum(p.is_backbone for p in per_var)),
-        ("density", cached.density == float(Fraction(cached.model_count, 2**n))),
-    ):
-        if not ok:
-            raise ValueError(
-                f"profile sidecar {path}: {field!r} does not agree with formula "
-                f"{formula_id}; delete the sidecar to profile it again"
-            )
+    if cached.num_vars != formula.num_vars:
+        raise ValueError(
+            f"profile sidecar {path}: 'vars' does not agree with formula "
+            f"{formula_id}; delete the sidecar to profile it again"
+        )
     return cached
 
 
@@ -301,7 +297,7 @@ def build_suite(
 ) -> list[dict]:
     """Generate per_bucket instances per backbone bucket, write DIMACS files
     and a manifest.csv, and return the manifest rows. Every file is written
-    whole or not at all.
+    whole or not at all, and none before every instance is drawn.
 
     A bucket has round(num_vars * clause_ratio) clauses, or its
     tuned_clause_counts value under tune_clauses, or its clauses_per_target
@@ -340,13 +336,14 @@ def build_suite(
         num_clauses.update(tuned_clause_counts(num_vars, targets))
     num_clauses.update(clauses_per_target)
 
-    # every spec is checked before the first draw, so a bad bucket writes nothing
+    # specs are checked before the first draw, and instances drawn and profiled
+    # before the first write, so a bad or exhausted bucket writes nothing
     specs = [
         BenchSpec(num_vars, num_clauses[t], t, seed + 7919 * t + i, max_attempts)
         for t in targets
         for i in range(per_bucket)
     ]
-    rows = []
+    rows, instances = [], []
     for index, spec in enumerate(specs):
         target, i = spec.target_backbone, index % per_bucket
         formula, attempts = gen_with_backbone(spec, force=target in force_targets)
@@ -357,11 +354,9 @@ def build_suite(
                 f"expected {target}"
             )
         fid = content_hash(formula)
-        fname = f"bb{target:03d}_{i:04d}_{fid}.cnf"
-        _write_atomic(out / fname, write_dimacs(formula))
-        write_profile(_profile_path(out, fid), profile)
+        instances.append((formula, profile))
         rows.append({
-            "file": fname,
+            "file": f"bb{target:03d}_{i:04d}_{fid}.cnf",
             "formula_id": fid,
             "seed": spec.seed,
             "num_vars": formula.num_vars,
@@ -373,6 +368,9 @@ def build_suite(
             "forced": int(target in force_targets),
             "attempts": attempts,
         })
+    for row, (formula, profile) in zip(rows, instances):
+        _write_atomic(out / row["file"], write_dimacs(formula))
+        write_profile(_profile_path(out, row["formula_id"]), profile)
     _write_atomic(out / "manifest.csv", csv_text(rows))
     return rows
 
@@ -463,11 +461,6 @@ def _claim_run(out: Path, plan: ExperimentPlan, k: int, suite: str) -> None:
 
 # ------------------------------------------------------------ running
 
-def _run_seed(plan_seed: int, formula_id: str, run: int) -> int:
-    digest = hashlib.sha256(f"{plan_seed}:{formula_id}:{run}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _solve_formula(args) -> tuple[FormulaProfile, list[dict]]:
     """Worker: from one parse, one formula's cached or fresh profile and its
     solve records, one per (config, run) of the plan in plan.configs order."""
@@ -484,7 +477,7 @@ def _solve_formula(args) -> tuple[FormulaProfile, list[dict]]:
     solves = []
     for label, cfg in plan.configs:
         for run in range(plan.runs_per_formula):
-            seed = _run_seed(plan.seed, formula_id, run)
+            seed = sub_seed(plan.seed, formula_id, run)
             st = solve(formula, replace(cfg, seed=seed))
             solves.append({
                 "formula_id": formula_id, "config": label, "run": run,

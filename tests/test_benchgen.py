@@ -7,9 +7,9 @@ import pytest
 from satentropy.benchgen import (
     BackboneSearchExhausted,
     BenchSpec,
-    _sample,
     gen_random_3sat,
     gen_with_backbone,
+    sub_seed,
     tuned_clause_counts,
 )
 from satentropy.cnf import Clause, CnfFormula, parse_dimacs
@@ -42,18 +42,6 @@ class TestDrawMatchesRandomSample:
             n, m = cases.randint(3, 200), cases.randint(1, 60)
             seed = cases.getrandbits(64)
             assert gen_random_3sat(n, m, seed) == sampled_3sat(n, m, seed), (n, m, seed)
-
-    def test_pinned_variables(self):
-        # force mode's sample of k of n variables, k > 5 included, and the
-        # stream position after it
-        cases = random.Random(7919)
-        for _ in range(1000):
-            n = cases.randint(1, 300)
-            k = cases.randint(0, n if cases.random() < 0.5 else min(n, 8))
-            seed = cases.getrandbits(64)
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert _sample(ours, n, k) == theirs.sample(range(1, n + 1), k), (n, k)
-            assert ours.random() == theirs.random()
 
 
 class TestRandom3Sat:
@@ -126,6 +114,12 @@ class TestBackboneControl:
             BenchSpec(10, 0, target_backbone=2, seed=0)
 
 
+def test_sub_seed_is_the_sha256_prefix_of_the_joined_parts():
+    for parts, text in (((99, 7), b"99:7"), ((3, "f00d", 2), b"3:f00d:2")):
+        digest = hashlib.sha256(text).digest()
+        assert sub_seed(*parts) == int.from_bytes(digest[:8], "big")
+
+
 def test_tuned_clause_counts_monotone():
     counts = tuned_clause_counts(20, [2, 6, 10, 14, 18])
     vals = [counts[t] for t in (2, 6, 10, 14, 18)]
@@ -138,6 +132,20 @@ def test_tuned_clause_counts_monotone():
 # was before backbone probing moved to the CDCL solver: acceptance depends
 # only on backbone size, so unforced suites must not change with the engine.
 UNFORCED_SUITE_SHA256 = "b3fe032d31a6ff47efb5b5e089e6aba969e6f022be8dcce0fdec709825bc604c"
+# The same digest, with the forced column, of a suite whose backbone-10
+# bucket is forced: it pins the pinned-variable sample. Recorded from the
+# generator as it was when force mode drew that sample through its own copy
+# of random.sample.
+FORCED_SUITE_SHA256 = "b1ee4054ac107eb82985f799941691c90d874a1dfb3dc1dff2b1cca2de19606d"
+
+
+def suite_digest(out, cols):
+    h = hashlib.sha256()
+    with (out / "manifest.csv").open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            h.update((out / row["file"]).read_bytes())
+            h.update(",".join(row[c] for c in cols).encode() + b"\n")
+    return h.hexdigest()
 
 
 class TestSuite:
@@ -190,15 +198,25 @@ class TestSuite:
 
     def test_unforced_suite_is_golden(self, suite):
         out, _ = suite
-        h = hashlib.sha256()
-        with (out / "manifest.csv").open(newline="") as fh:
-            for row in csv.DictReader(fh):
-                h.update((out / row["file"]).read_bytes())
-                cols = ("file", "seed", "backbone", "attempts", "model_count")
-                h.update(",".join(row[c] for c in cols).encode() + b"\n")
-        assert h.hexdigest() == UNFORCED_SUITE_SHA256
+        cols = ("file", "seed", "backbone", "attempts", "model_count")
+        assert suite_digest(out, cols) == UNFORCED_SUITE_SHA256
 
     def test_profiles_persisted(self, suite):
         out, rows = suite
         for row in rows:
             assert (out / "profiles" / f"{row['formula_id']}.json").exists()
+
+
+def test_forced_suite_is_golden(tmp_path):
+    rows = build_suite(
+        targets=[2, 10],
+        per_bucket=2,
+        num_vars=12,
+        seed=5,
+        out_dir=tmp_path,
+        tune_clauses=True,
+        force_targets={10},
+    )
+    assert [row["forced"] for row in rows] == [0, 0, 1, 1]
+    cols = ("file", "seed", "backbone", "forced", "attempts", "model_count")
+    assert suite_digest(tmp_path, cols) == FORCED_SUITE_SHA256

@@ -638,6 +638,20 @@ class TestGenAndExperiment:
         assert not suite.exists()
         assert main(argv + ["--backbones", "2"]) == EXIT_OK
 
+    def test_an_exhausted_bucket_writes_nothing(self, tmp_path, capsys):
+        # the good bucket is drawn first, and none of its files is written
+        suite = tmp_path / "suite"
+        argv = ["gen", "--vars", "10", "--per-bucket", "1", "--seed", "3"]
+        argv += ["--out", str(suite)]
+        assert main(argv + ["--backbones", "2,9", "--max-attempts", "40"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no instance with backbone 9 found in 40 attempts "
+            "(observed sizes: {'<9': 24, 10: 5})\n"
+        )
+        assert not suite.exists()
+        assert main(argv + ["--backbones", "2"]) == EXIT_OK
+
     def test_gen_into_a_non_empty_directory_is_refused(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -717,7 +731,9 @@ class TestGenAndExperiment:
         sidecar.write_text(json.dumps(d))
         assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith(f"error: profile sidecar {sidecar}: 'backbone_count' ")
+        assert err.startswith(
+            f"error: profile sidecar {sidecar} cannot be read ('backbone_count' is "
+        )
 
     @pytest.mark.parametrize(
         "edit,why",
@@ -732,8 +748,22 @@ class TestGenAndExperiment:
                 _json_edit(lambda d: d["per_var"][0].update(r_exact="3/2")),
                 "'r_exact' '3/2' is not a ratio in [0, 1]",
             ),
+            (
+                _json_edit(lambda d: d.update(entropy=0.123456)),
+                "'entropy' is 0.123456, but its counts give ",
+            ),
+            (
+                _json_edit(lambda d: d["per_var"][0].update(e=-1.0)),
+                "per_var[0] 'e' is -1.0, but its counts give ",
+            ),
+            (
+                _json_edit(lambda d: d["per_var"][0].update(r=-1.0)),
+                "per_var[0] 'r' is -1.0, but its counts give ",
+            ),
         ],
-        ids=["truncated", "no-per-var", "no-r-exact", "bad-r-exact"],
+        ids=[
+            "truncated", "no-per-var", "no-r-exact", "bad-r-exact", "entropy", "e", "r"
+        ],
     )
     def test_an_unreadable_sidecar_is_refused(
         self, small_suite, tmp_path, capsys, monkeypatch, edit, why
@@ -744,11 +774,13 @@ class TestGenAndExperiment:
         row = min(pipeline.load_suite(suite), key=lambda r: r["formula_id"])
         sidecar = suite / "profiles" / f"{row['formula_id']}.json"
         sidecar.write_text(edit(sidecar.read_text()))
-        assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
+        res = tmp_path / "res"
+        assert main(_run_args(suite, res)) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: profile sidecar {sidecar} cannot be read (")
         assert why in err
         assert err.endswith("; delete the sidecar to profile it again\n")
+        assert (res / "records.jsonl").read_bytes() == b""
 
     def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

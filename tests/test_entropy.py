@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from satentropy.cnf import CnfFormula
-from satentropy.counter import (
-    BudgetExceeded,
-    CountBudget,
-    count_models,
-    count_models_bruteforce,
-)
+from satentropy.counter import count_models, count_models_bruteforce
 from satentropy.entropy import (
     FormulaProfile,
     UnsatisfiableFormula,
@@ -19,7 +14,7 @@ from satentropy.entropy import (
     profile_formula,
     variable_entropy,
 )
-from conftest import criterion_1_corpus, criterion_2_corpus, random_3sat, random_formula
+from conftest import criterion_1_corpus, criterion_2_corpus, random_formula
 
 
 class TestVariableEntropy:
@@ -115,12 +110,6 @@ class TestProfile:
             assert one_pass == profile_formula(f, count_fn=count_models).to_dict(), seed
             profiled += 1
         assert profiled > 0
-
-    def test_budget_bounds_the_counting_pass(self):
-        f = random_3sat(3, 16, 2)
-        assert count_models(f) > 0
-        with pytest.raises(BudgetExceeded):
-            profile_formula(f, budget=CountBudget(max_nodes=2))
 
     def test_backbone_iff_zero_entropy(self):
         for seed in range(30):

@@ -11,6 +11,7 @@ import re
 import pytest
 
 from satentropy import pipeline, stats
+from satentropy.benchgen import sub_seed
 from satentropy.cli import main
 from satentropy.cnf import CnfFormula, parse_dimacs
 from satentropy.entropy import profile_formula
@@ -225,7 +226,7 @@ class TestRunExperiment:
         pipeline._solve_formula((suite_dir, row["path"], row["formula_id"], plan))
         expected = [
             dataclasses.replace(
-                cfg, seed=pipeline._run_seed(plan.seed, row["formula_id"], run)
+                cfg, seed=sub_seed(plan.seed, row["formula_id"], run)
             )
             for cfg in (plan.config_a, plan.config_b)
             for run in range(2)
@@ -572,7 +573,8 @@ class TestProfileCacheEnvVar:
 
 
 class TestProfileSidecarCheck:
-    """ensure_profile checks a cached sidecar against its formula."""
+    """ensure_profile checks a cached sidecar against its own counts and
+    its formula's variable count."""
 
     @pytest.fixture
     def sidecar(self, tmp_path, monkeypatch):
@@ -610,7 +612,18 @@ class TestProfileSidecarCheck:
         d = json.loads(path.read_text())
         edit(d)
         path.write_text(json.dumps(d))
-        message = f"^profile sidecar {re.escape(str(path))}: '{field}' does not agree"
+        message = (
+            f"^profile sidecar {re.escape(str(path))} cannot be read "
+            rf"\([^)]*{re.escape(field)}.*; delete the sidecar to profile it again$"
+        )
+        with pytest.raises(ValueError, match=message):
+            pipeline.ensure_profile(suite, "f1", formula)
+
+    def test_a_sidecar_of_another_variable_count_is_refused(self, sidecar):
+        suite, formula, _, path = sidecar
+        wider = CnfFormula(5, formula.clauses)
+        pipeline.write_profile(path, profile_formula(wider))
+        message = f"^profile sidecar {re.escape(str(path))}: 'vars' does not agree"
         with pytest.raises(ValueError, match=message):
             pipeline.ensure_profile(suite, "f1", formula)
 
