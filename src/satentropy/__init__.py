@@ -14,7 +14,6 @@ from .entropy import (
     FormulaProfile,
     UnsatisfiableFormula,
     VariableProfile,
-    backbone,
     profile_formula,
     variable_entropy,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "FormulaProfile",
     "UnsatisfiableFormula",
     "VariableProfile",
-    "backbone",
     "profile_formula",
     "variable_entropy",
     "GlucoseRestarts",

@@ -1,11 +1,11 @@
 """Random 3-SAT generation with controlled backbone size.
 
-Instances are drawn uniformly and filtered by rejection: unsatisfiable
-draws are discarded, and a draw is accepted only when its backbone has
-exactly the requested number of variables. An optional force mode pins
-extreme backbone targets by appending unit clauses consistent with one
-model of the base formula; planting changes the distribution, so suites
-flag forced instances in their manifest.
+Instances are drawn uniformly and filtered by rejection: a satisfiable
+draw is accepted only when its backbone has the requested size, and an
+exhausted search reports how many draws fell below and above it. An
+optional force mode pins extreme targets by appending unit clauses
+consistent with one model of the base formula; planting changes the
+distribution, so suites flag forced instances in their manifest.
 
 This module only draws formulas and does no file I/O;
 pipeline.build_suite writes them out as a suite.
@@ -23,23 +23,16 @@ from .entropy import UnsatisfiableFormula, backbone_size
 
 
 class BackboneSearchExhausted(RuntimeError):
-    """Rejection sampling failed; carries a histogram of observed sizes.
+    """Rejection sampling failed; carries how many satisfiable draws had a
+    backbone smaller and how many larger than the target."""
 
-    backbone_size stops early on both sides of the target t, so the
-    satisfiable draws fall in two bins: "<t" for sizes below t and t + 1
-    for sizes above it. Unsatisfiable draws are not counted.
-    """
-
-    def __init__(self, spec: "BenchSpec", histogram: dict[int | str, int]):
-        # the "<t" bin first, then the sizes
-        shown = dict(
-            sorted(histogram.items(), key=lambda kv: (isinstance(kv[0], int), kv[0]))
-        )
+    def __init__(self, spec: "BenchSpec", smaller: int, larger: int):
         super().__init__(
             f"no instance with backbone {spec.target_backbone} found in "
-            f"{spec.max_attempts} attempts (observed sizes: {shown})"
+            f"{spec.max_attempts} attempts ({smaller} satisfiable draws had a "
+            f"smaller backbone, {larger} a larger one)"
         )
-        self.histogram = histogram
+        self.smaller, self.larger = smaller, larger
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula,
     guarantees at least that many backbone variables; the draw is still
     rejected if extra backbone variables appear.
     """
-    histogram: dict[int | str, int] = {}
+    smaller = larger = 0
     target = spec.target_backbone
     for attempt in range(spec.max_attempts):
         f = gen_random_3sat(
@@ -131,11 +124,11 @@ def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula,
             size = backbone_size(f, target)
         except UnsatisfiableFormula:
             continue
-        key = size if size >= target else f"<{target}"
-        histogram[key] = histogram.get(key, 0) + 1
         if size == target:
             return f, attempt + 1
-    raise BackboneSearchExhausted(spec, histogram)
+        smaller += size < target
+        larger += size > target
+    raise BackboneSearchExhausted(spec, smaller, larger)
 
 
 def tuned_clause_counts(num_vars: int, targets: list[int]) -> dict[int, int]:

@@ -7,7 +7,6 @@ Exit codes: 0 ok/SAT, 20 UNSAT (or model count 0), 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -124,23 +123,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.file, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
-        raise ValueError("empty results file")
-    needed = ["entropy", "density", args.col_a]
-    if args.test != "beta-gap":
-        needed.append(args.col_b)
-    for name in needed:
-        if name not in reader.fieldnames:
-            raise ValueError(
-                f"{args.file} has no column {name!r} (columns: "
-                f"{', '.join(reader.fieldnames)}); name the conflict columns "
-                "with --col-a/--col-b"
-            )
     table = pipeline.analysis_table(
-        rows, args.test, args.col_a, args.col_b, args.k, args.seed
+        args.file, args.test, args.col_a, args.col_b, args.k, args.seed
     )
     sys.stdout.write(pipeline.csv_text(table))
     sys.stderr.write(pipeline.aligned_text(table))

@@ -1,6 +1,6 @@
 """Solution-space profiling: literal ratios, entropy, density, backbones.
 
-Profiles and the backbone set come from one exact counting pass.
+A profile, backbone flags included, comes from one exact counting pass.
 profile_from_counts is the one derivation of a profile from its counts
 (variable count, model count and each variable's exact ratio):
 profile_formula builds through it, and FormulaProfile.from_dict rebuilds
@@ -143,19 +143,6 @@ def profile_formula(
     n = formula.num_vars
     ratios = [Fraction(positive_count(v), total) for v in range(1, n + 1)]
     return profile_from_counts(n, total, ratios)
-
-
-def backbone(formula: CnfFormula) -> set[int]:
-    """The set of literals true in every solution, read off the one-pass
-    marginals: v is backbone when it is true in all models, -v when in none."""
-    total, marginals = count_with_marginals(formula)
-    if total == 0:
-        raise UnsatisfiableFormula("backbone undefined for unsatisfiable formula")
-    return {
-        v if pos == total else -v
-        for v, pos in marginals.items()
-        if pos in (0, total)
-    }
 
 
 def backbone_size(formula: CnfFormula, target: int | None = None) -> int:

@@ -205,14 +205,19 @@ def make_plan(
 # --------------------------------------------------------------- suite I/O
 
 def load_suite(suite_dir: str | Path) -> list[dict]:
-    """Read manifest.csv rows; each row gains a 'path' key."""
+    """Read manifest.csv rows; each row gains a 'path' key. ValueError
+    for a manifest without a formula_id or file column."""
     suite = Path(suite_dir)
     manifest = suite / "manifest.csv"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.csv in {suite}")
     rows, seen = [], set()
     with manifest.open(newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for name in ("formula_id", "file"):
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{manifest} has no column {name!r}")
+        for row in reader:
             if row["formula_id"] in seen:
                 raise ValueError(f"{manifest} names formula {row['formula_id']} twice")
             seen.add(row["formula_id"])
@@ -543,12 +548,12 @@ def run_experiment(
     for name, value in (("k", k), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, not {value}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = sorted(load_suite(suite_dir), key=lambda r: r["formula_id"])
     # the manifest names every formula by content hash and holds no path,
     # so a byte-identical copy of the suite is the same suite
     suite = hashlib.sha256((Path(suite_dir) / "manifest.csv").read_bytes())
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _claim_run(out, plan, k, suite.hexdigest())
     records_path = out / "records.jsonl"
 
@@ -685,11 +690,11 @@ def hardness_table(labels: list[str], gaps: list[stats.BetaGapResult]) -> list[d
 
 
 def analysis_table(
-    rows: list[dict], test: str, col_a: str, col_b: str, k: int, seed: int
+    path: str | Path, test: str, col_a: str, col_b: str, k: int, seed: int
 ) -> list[dict]:
-    """The `analyze` table over results-CSV rows, each column read and
-    then standardized once: test is delta or delta-beta (one row per
-    measure) or beta-gap (col_a's entropy slope against its density slope)."""
+    """The `analyze` table of the results CSV at path, refused when empty
+    or short of a column; test is delta or delta-beta (one row per measure)
+    or beta-gap (col_a's entropy slope against its density slope)."""
     def column(name):
         values = []
         for row, r in enumerate(rows, 1):
@@ -701,7 +706,19 @@ def analysis_table(
                 ) from None
         return values
 
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    if not rows:
+        raise ValueError("empty results file")
     names = ["entropy", "density", col_a] + ([col_b] if test != "beta-gap" else [])
+    for name in names:
+        if name not in reader.fieldnames:
+            raise ValueError(
+                f"{path} has no column {name!r} (columns: "
+                f"{', '.join(reader.fieldnames)}); name the conflict columns "
+                "with --col-a/--col-b"
+            )
     raw = {name: column(name) for name in names}
     cols = {name: stats.standardize(xs) for name, xs in raw.items()}
     measures, titles = ("entropy", "density"), ("Entropy", "Density")

@@ -85,15 +85,6 @@ def ols(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
     )
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    xbar, ybar = mean(xs), mean(ys)
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = math.sqrt(
-        sum((x - xbar) ** 2 for x in xs) * sum((y - ybar) ** 2 for y in ys)
-    )
-    return num / den
-
-
 def percentile(sorted_vals: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of pre-sorted values, q in [0,1]."""
     n = len(sorted_vals)

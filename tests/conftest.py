@@ -18,6 +18,17 @@ def random_formula(seed, max_vars=12, max_clause_len=3):
     return CnfFormula.from_clause_lists(n, clauses)
 
 
+def backbone_literals(formula):
+    """The literals true in every model, read off the formula's profile."""
+    from satentropy.entropy import profile_formula
+
+    return {
+        p.var if p.ratio_pos == 1 else -p.var
+        for p in profile_formula(formula).variables
+        if p.is_backbone
+    }
+
+
 def random_3sat(seed, n, ratio):
     from satentropy.benchgen import gen_random_3sat
 

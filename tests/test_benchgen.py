@@ -80,25 +80,29 @@ class TestBackboneControl:
         assert attempts >= 1
         assert profile_formula(f).backbone_count == 2
 
-    def test_exhaustion_carries_histogram(self):
+    def test_exhaustion_carries_counts(self):
         # an unconstrained formula cannot have a full backbone
         spec = BenchSpec(10, 10, target_backbone=10, seed=0, max_attempts=5)
         with pytest.raises(BackboneSearchExhausted) as exc:
             gen_with_backbone(spec)
-        assert isinstance(exc.value.histogram, dict)
+        # every draw is satisfiable, so each is counted on one side
+        assert exc.value.smaller + exc.value.larger == 5
 
     def test_exhaustion_bins_sizes_around_the_target(self):
-        # draws stop early on either side of the target: "<t" and t + 1
+        # satisfiable draws are counted below and above the target
         spec = BenchSpec(10, 10, target_backbone=10, seed=0, max_attempts=5)
         with pytest.raises(BackboneSearchExhausted) as exc:
             gen_with_backbone(spec)
-        assert exc.value.histogram == {"<10": 5}
-        # 2 of the 6 draws are unsatisfiable and not binned
+        assert (exc.value.smaller, exc.value.larger) == (5, 0)
+        # 2 of the 6 draws are unsatisfiable and not counted
         spec = BenchSpec(12, 52, target_backbone=3, seed=1, max_attempts=6)
         with pytest.raises(BackboneSearchExhausted) as exc:
             gen_with_backbone(spec)
-        assert exc.value.histogram == {"<3": 1, 4: 3}
-        assert "(observed sizes: {'<3': 1, 4: 3})" in str(exc.value)
+        assert (exc.value.smaller, exc.value.larger) == (1, 3)
+        assert (
+            "(1 satisfiable draws had a smaller backbone, 3 a larger one)"
+            in str(exc.value)
+        )
 
     def test_force_mode_pins_backbone(self):
         spec = BenchSpec(10, 30, target_backbone=9, seed=3, max_attempts=2000)

@@ -647,7 +647,7 @@ class TestGenAndExperiment:
         err = capsys.readouterr().err
         assert err == (
             "error: no instance with backbone 9 found in 40 attempts "
-            "(observed sizes: {'<9': 24, 10: 5})\n"
+            "(24 satisfiable draws had a smaller backbone, 5 a larger one)\n"
         )
         assert not suite.exists()
         assert main(argv + ["--backbones", "2"]) == EXIT_OK
@@ -691,6 +691,31 @@ class TestGenAndExperiment:
         argv = ["experiment", "run", "--plan", "decay", "--suite", str(small_suite)]
         assert main(argv + ["--out", str(res), option, value]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not res.exists()
+
+    def test_a_missing_suite_makes_no_out_directory(self, tmp_path, capsys):
+        res = tmp_path / "res"
+        assert main(_run_args(tmp_path / "nosuch", res)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: no manifest.csv in {tmp_path / 'nosuch'}\n"
+        assert not res.exists()
+
+    @pytest.mark.parametrize("column", ["file", "formula_id"])
+    def test_a_manifest_without_a_key_column_is_refused(
+        self, small_suite, tmp_path, capsys, column
+    ):
+        suite = tmp_path / "suite"
+        shutil.copytree(small_suite, suite)
+        manifest = suite / "manifest.csv"
+        with manifest.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            del row[column]
+        manifest.write_text(pipeline.csv_text(rows), newline="")
+        res = tmp_path / "res"
+        assert main(_run_args(suite, res)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest} has no column {column!r}\n"
         assert not res.exists()
 
     def test_manifest_naming_a_formula_twice_is_refused(self, small_suite, tmp_path, capsys):

@@ -9,12 +9,16 @@ from satentropy.counter import count_models, count_models_bruteforce
 from satentropy.entropy import (
     FormulaProfile,
     UnsatisfiableFormula,
-    backbone,
     backbone_size,
     profile_formula,
     variable_entropy,
 )
-from conftest import criterion_1_corpus, criterion_2_corpus, random_formula
+from conftest import (
+    backbone_literals,
+    criterion_1_corpus,
+    criterion_2_corpus,
+    random_formula,
+)
 
 
 class TestVariableEntropy:
@@ -149,18 +153,18 @@ class TestProfile:
 class TestBackbone:
     def test_implied_unit(self):
         f = CnfFormula.from_clause_lists(2, [[1], [1, 2]])
-        assert backbone(f) == {1}
+        assert backbone_literals(f) == {1}
 
     def test_unconstrained_empty(self):
-        assert backbone(CnfFormula(3, ())) == set()
+        assert backbone_literals(CnfFormula(3, ())) == set()
 
     def test_units_both_polarities(self):
         f = CnfFormula.from_clause_lists(2, [[1], [-2]])
-        assert backbone(f) == {1, -2}
+        assert backbone_literals(f) == {1, -2}
 
     def test_unsat_rejected(self):
         f = CnfFormula.from_clause_lists(1, [[1], [-1]])
-        for fn in (backbone, backbone_size):
+        for fn in (profile_formula, backbone_size):
             with pytest.raises(UnsatisfiableFormula):
                 fn(f)
 
@@ -169,7 +173,7 @@ class TestBackbone:
         for seed, f in itertools.chain(*corpora):
             if count_models(f) == 0:
                 continue
-            assert backbone_size(f) == len(backbone(f)), seed
+            assert backbone_size(f) == len(backbone_literals(f)), seed
 
     def test_target_decides_the_side_of_the_size(self):
         # exact at the target, target + 1 above it, below it when the size
@@ -178,7 +182,7 @@ class TestBackbone:
         for seed, f in itertools.chain(*corpora):
             if count_models(f) == 0:
                 continue
-            size = len(backbone(f))
+            size = len(backbone_literals(f))
             for t in range(f.num_vars + 2):
                 got = backbone_size(f, t)
                 assert (got < t) == (size < t), (seed, t)

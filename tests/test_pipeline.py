@@ -445,6 +445,34 @@ class TestAggregatePlot:
         assert len({p.x for p in points}) == len(points)
 
 
+class TestAnalysisTable:
+    """analysis_table reads the results file itself and refuses, without
+    the CLI, a file it cannot analyze."""
+
+    def test_a_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "results.csv"
+        rows = "".join(f"0.{i},0.{9 - i},{i}\n" for i in range(5))
+        path.write_text("entropy,density,conflicts_a\n" + rows)
+        with pytest.raises(ValueError) as exc:
+            pipeline.analysis_table(path, "delta", "conflicts_a", "conflicts_b", 20, 0)
+        assert str(exc.value) == (
+            f"{path} has no column 'conflicts_b' (columns: entropy, density, "
+            "conflicts_a); name the conflict columns with --col-a/--col-b"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "entropy,density,conflicts_a,conflicts_b\n"],
+        ids=["no-header", "header-only"],
+    )
+    def test_an_empty_file_is_refused(self, tmp_path, text):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            pipeline.analysis_table(path, "delta", "conflicts_a", "conflicts_b", 20, 0)
+        assert str(exc.value) == "empty results file"
+
+
 class TestEmitReport:
     def test_comparison_table_columns(self, tmp_path):
         records = synthetic_records(n=60, seed=3, labels=("a", "b"))

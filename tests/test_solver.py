@@ -6,7 +6,6 @@ import pytest
 
 from satentropy.cnf import CnfFormula, content_hash, evaluate
 from satentropy.counter import count_models, count_models_bruteforce
-from satentropy.entropy import backbone
 from satentropy.solver import (
     GlucoseRestarts,
     KeepLbdCutAtMost,
@@ -22,7 +21,13 @@ from satentropy.solver import (
     _satisfied,
     solve,
 )
-from conftest import criterion_1_corpus, criterion_2_corpus, random_3sat, random_formula
+from conftest import (
+    backbone_literals,
+    criterion_1_corpus,
+    criterion_2_corpus,
+    random_3sat,
+    random_formula,
+)
 
 
 ALL_CONFIGS = [
@@ -356,7 +361,7 @@ class TestProbe:
             s = _Solver(f, SolverConfig())
             if s.solve().result != "SAT":
                 continue
-            bb = backbone(f)
+            bb = backbone_literals(f)
             for v in range(1, f.num_vars + 1):
                 for lit in (v, -v):
                     model = s.probe(lit)

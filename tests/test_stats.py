@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 
@@ -11,7 +12,6 @@ from satentropy.stats import (
     mean,
     normal_cdf,
     ols,
-    pearson,
     percentile,
     resamples,
     slope_gaps,
@@ -120,7 +120,7 @@ class TestOls:
         xs = [rng.gauss(0, 1) for _ in range(100)]
         ys = [2 * x + rng.gauss(0, 1) for x in xs]
         r = ols(standardize(xs), standardize(ys))
-        assert r.beta == pytest.approx(pearson(xs, ys), abs=1e-10)
+        assert r.beta == pytest.approx(statistics.correlation(xs, ys), abs=1e-10)
 
     def test_two_sided_one_sided_relation(self, rng):
         for _ in range(20):
