@@ -2,10 +2,7 @@
 
 Instances are drawn uniformly and filtered by rejection: a satisfiable
 draw is accepted only when its backbone has the requested size, and an
-exhausted search reports how many draws fell below and above it. An
-optional force mode pins extreme targets by appending unit clauses
-consistent with one model of the base formula; planting changes the
-distribution, so suites flag forced instances in their manifest.
+exhausted search reports how many draws fell below and above it.
 
 This module only draws formulas and does no file I/O;
 pipeline.build_suite writes them out as a suite.
@@ -18,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .cnf import Clause, CnfFormula
+# find_model is not called here; perfbench's tests find it at this binding
 from .counter import find_model
 from .entropy import UnsatisfiableFormula, backbone_size
 
@@ -95,31 +93,15 @@ def gen_random_3sat(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def gen_with_backbone(spec: BenchSpec, force: bool = False) -> tuple[CnfFormula, int]:
-    """Draw random 3-SAT instances until one has the target backbone size.
-
-    Returns (formula, attempts_used). With force=True, unit clauses pinning
-    target_backbone variables to one model of the draw are appended, which
-    guarantees at least that many backbone variables; the draw is still
-    rejected if extra backbone variables appear.
-    """
+def gen_with_backbone(spec: BenchSpec) -> tuple[CnfFormula, int]:
+    """Draw random 3-SAT instances until one has the target backbone size;
+    returns (formula, attempts_used)."""
     smaller = larger = 0
     target = spec.target_backbone
     for attempt in range(spec.max_attempts):
         f = gen_random_3sat(
             spec.num_vars, spec.num_clauses, sub_seed(spec.seed, attempt)
         )
-        if force:
-            # the pinned model comes from a fresh default solve
-            model = find_model(f)
-            if model is None:
-                continue
-            rng = random.Random(sub_seed(spec.seed ^ 0x5EED, attempt))
-            pinned = rng.sample(range(1, spec.num_vars + 1), target)
-            units = tuple(
-                Clause((v if model[v] else -v,)) for v in sorted(pinned)
-            )
-            f = CnfFormula(f.num_vars, f.clauses + units)
         try:
             size = backbone_size(f, target)
         except UnsatisfiableFormula:

@@ -94,7 +94,6 @@ def _cmd_gen(args) -> int:
         clauses_per_target=args.clauses_per_bucket,
         clause_ratio=args.ratio,
         max_attempts=args.max_attempts,
-        force_targets=set(args.force or ()),
         tune_clauses=args.tune_clauses,
     )
     print(f"wrote {len(rows)} instances to {args.out}", file=sys.stderr)
@@ -175,9 +174,6 @@ def build_parser() -> _Parser:
         "--tune-clauses",
         action="store_true",
         help="pick a per-bucket clause count that makes the target common",
-    )
-    p.add_argument(
-        "--force", type=int_list, default=None, help="targets to pin via unit clauses"
     )
     p.set_defaults(func=_cmd_gen)
 

@@ -56,7 +56,6 @@ class FormulaProfile:
             "per_var": [
                 {
                     "v": p.var,
-                    "r": float(p.ratio_pos),
                     "r_exact": str(p.ratio_pos),
                     "e": p.entropy,
                 }
@@ -67,7 +66,8 @@ class FormulaProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "FormulaProfile":
         """The profile that a to_dict dict's vars, model_count and r_exact
-        values give; ValueError naming any other field that differs."""
+        values give; ValueError naming any other to_dict field that differs.
+        Other keys, such as an older sidecar's float 'r', are ignored."""
         ratios = []
         for p in d["per_var"]:
             r = Fraction(p["r_exact"]) if isinstance(p["r_exact"], str) else None
@@ -83,7 +83,7 @@ class FormulaProfile:
             (repr(k), d[k], want[k]) for k in ("entropy", "density", "backbone_count")
         ]
         for i, (p, q) in enumerate(zip(d["per_var"], want["per_var"])):
-            fields += [(f"per_var[{i}] {k!r}", p[k], q[k]) for k in ("v", "r", "e")]
+            fields += [(f"per_var[{i}] {k!r}", p[k], q[k]) for k in ("v", "e")]
         for name, stored, given in fields:
             if stored != given:
                 raise ValueError(f"{name} is {stored!r}, but its counts give {given!r}")

@@ -206,7 +206,7 @@ def make_plan(
 
 def load_suite(suite_dir: str | Path) -> list[dict]:
     """Read manifest.csv rows; each row gains a 'path' key. ValueError
-    for a manifest without a formula_id or file column."""
+    for a manifest without a formula_id or file column, or without rows."""
     suite = Path(suite_dir)
     manifest = suite / "manifest.csv"
     if not manifest.exists():
@@ -223,6 +223,8 @@ def load_suite(suite_dir: str | Path) -> list[dict]:
             seen.add(row["formula_id"])
             row["path"] = str(suite / row["file"])
             rows.append(row)
+    if not rows:
+        raise ValueError(f"{manifest} lists no formulas")
     return rows
 
 
@@ -297,7 +299,6 @@ def build_suite(
     clauses_per_target: dict[int, int] | None = None,
     clause_ratio: float = 4.25,
     max_attempts: int = 100_000,
-    force_targets: set[int] | None = None,
     tune_clauses: bool = False,
 ) -> list[dict]:
     """Generate per_bucket instances per backbone bucket, write DIMACS files
@@ -314,7 +315,6 @@ def build_suite(
     """
     out = Path(out_dir)
     clauses_per_target = clauses_per_target or {}
-    force_targets = force_targets or set()
     if per_bucket < 1 or not targets:
         raise ValueError(
             f"no instances to generate: targets {targets}, per_bucket {per_bucket}"
@@ -322,16 +322,12 @@ def build_suite(
     repeated = sorted({t for t in targets if targets.count(t) > 1})
     if repeated:
         raise ValueError(f"backbone targets {repeated} are given more than once")
-    for what, named in (
-        ("clause counts are given", clauses_per_target),
-        ("force is asked", force_targets),
-    ):
-        stray = sorted(set(named) - set(targets))
-        if stray:
-            raise ValueError(
-                f"{what} for targets {stray}, which are not among the backbone "
-                f"targets {targets}"
-            )
+    stray = sorted(set(clauses_per_target) - set(targets))
+    if stray:
+        raise ValueError(
+            f"clause counts are given for targets {stray}, which are not among "
+            f"the backbone targets {targets}"
+        )
     if out.exists() and any(out.iterdir()):
         raise ValueError(
             f"{out} is not empty; write the suite to a new or empty directory"
@@ -351,7 +347,7 @@ def build_suite(
     rows, instances = [], []
     for index, spec in enumerate(specs):
         target, i = spec.target_backbone, index % per_bucket
-        formula, attempts = gen_with_backbone(spec, force=target in force_targets)
+        formula, attempts = gen_with_backbone(spec)
         profile = profile_formula(formula)
         if profile.backbone_count != target:
             raise AssertionError(
@@ -370,7 +366,6 @@ def build_suite(
             "entropy": profile.entropy,
             "density": profile.density,
             "model_count": profile.model_count,
-            "forced": int(target in force_targets),
             "attempts": attempts,
         })
     for row, (formula, profile) in zip(rows, instances):

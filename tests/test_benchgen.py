@@ -104,13 +104,6 @@ class TestBackboneControl:
             in str(exc.value)
         )
 
-    def test_force_mode_pins_backbone(self):
-        spec = BenchSpec(10, 30, target_backbone=9, seed=3, max_attempts=2000)
-        f, _ = gen_with_backbone(spec, force=True)
-        p = profile_formula(f)
-        assert p.backbone_count == 9
-        assert 0 < p.entropy < 1
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BenchSpec(10, 30, target_backbone=11, seed=0)
@@ -136,11 +129,6 @@ def test_tuned_clause_counts_monotone():
 # was before backbone probing moved to the CDCL solver: acceptance depends
 # only on backbone size, so unforced suites must not change with the engine.
 UNFORCED_SUITE_SHA256 = "b3fe032d31a6ff47efb5b5e089e6aba969e6f022be8dcce0fdec709825bc604c"
-# The same digest, with the forced column, of a suite whose backbone-10
-# bucket is forced: it pins the pinned-variable sample. Recorded from the
-# generator as it was when force mode drew that sample through its own copy
-# of random.sample.
-FORCED_SUITE_SHA256 = "b1ee4054ac107eb82985f799941691c90d874a1dfb3dc1dff2b1cca2de19606d"
 
 
 def suite_digest(out, cols):
@@ -210,17 +198,3 @@ class TestSuite:
         for row in rows:
             assert (out / "profiles" / f"{row['formula_id']}.json").exists()
 
-
-def test_forced_suite_is_golden(tmp_path):
-    rows = build_suite(
-        targets=[2, 10],
-        per_bucket=2,
-        num_vars=12,
-        seed=5,
-        out_dir=tmp_path,
-        tune_clauses=True,
-        force_targets={10},
-    )
-    assert [row["forced"] for row in rows] == [0, 0, 1, 1]
-    cols = ("file", "seed", "backbone", "forced", "attempts", "model_count")
-    assert suite_digest(tmp_path, cols) == FORCED_SUITE_SHA256

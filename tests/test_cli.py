@@ -191,7 +191,7 @@ class TestUsage:
             ("--per-bucket", "x"),
             ("--clauses-per-bucket", "2:70"),
             ("--clauses-per-bucket", "2=x"),
-            ("--force", "2,"),
+            ("--backbones", "2,"),
         ],
     )
     def test_malformed_gen_option_is_usage_error(self, tmp_path, capsys, option, value):
@@ -202,6 +202,15 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: argument {option}: ") and repr(value) in err
+        assert not (tmp_path / "suite").exists()
+
+    def test_gen_has_no_force_option(self, tmp_path, capsys):
+        argv = ["gen", "--vars", "12", "--backbones", "2", "--per-bucket", "1"]
+        argv += ["--seed", "5", "--out", str(tmp_path / "suite"), "--force", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --force 2" in capsys.readouterr().err
         assert not (tmp_path / "suite").exists()
 
 
@@ -601,15 +610,9 @@ class TestGenAndExperiment:
                 "clause counts are given for targets [6], which are not among "
                 "the backbone targets [2, 4]",
             ),
-            (
-                "--force",
-                "4,8",
-                "force is asked for targets [8], which are not among the "
-                "backbone targets [2, 4]",
-            ),
             ("--per-bucket", "0", "no instances to generate: targets [2, 4], per_bucket 0"),
         ],
-        ids=["repeated-target", "stray-clause-count", "stray-force", "no-instances"],
+        ids=["repeated-target", "stray-clause-count", "no-instances"],
     )
     def test_bad_suite_request_is_refused(self, tmp_path, capsys, option, value, message):
         suite = tmp_path / "suite"
@@ -700,6 +703,16 @@ class TestGenAndExperiment:
         assert err == f"error: no manifest.csv in {tmp_path / 'nosuch'}\n"
         assert not res.exists()
 
+    def test_an_empty_manifest_makes_no_out_directory(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        manifest = suite / "manifest.csv"
+        manifest.write_text("file,formula_id\n")
+        res = tmp_path / "res"
+        assert main(_run_args(suite, res)) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {manifest} lists no formulas\n"
+        assert not res.exists()
+
     @pytest.mark.parametrize("column", ["file", "formula_id"])
     def test_a_manifest_without_a_key_column_is_refused(
         self, small_suite, tmp_path, capsys, column
@@ -781,14 +794,8 @@ class TestGenAndExperiment:
                 _json_edit(lambda d: d["per_var"][0].update(e=-1.0)),
                 "per_var[0] 'e' is -1.0, but its counts give ",
             ),
-            (
-                _json_edit(lambda d: d["per_var"][0].update(r=-1.0)),
-                "per_var[0] 'r' is -1.0, but its counts give ",
-            ),
         ],
-        ids=[
-            "truncated", "no-per-var", "no-r-exact", "bad-r-exact", "entropy", "e", "r"
-        ],
+        ids=["truncated", "no-per-var", "no-r-exact", "bad-r-exact", "entropy", "e"],
     )
     def test_an_unreadable_sidecar_is_refused(
         self, small_suite, tmp_path, capsys, monkeypatch, edit, why

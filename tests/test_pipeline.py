@@ -7,6 +7,8 @@ import math
 import pathlib
 import random
 import re
+import shutil
+from fractions import Fraction
 
 import pytest
 
@@ -254,6 +256,45 @@ class TestRunExperiment:
             outputs.append((files, (out / "records.jsonl").read_bytes()))
         assert len(outputs[0][0]) == 12
         assert outputs[0] == outputs[1]
+
+    def test_a_suite_in_the_older_format_runs_to_the_same_results(
+        self, suite_dir, tmp_path, monkeypatch
+    ):
+        # earlier releases wrote a manifest column `forced` (0 for a drawn
+        # instance) before `attempts`, and a float `r` beside each per-variable
+        # `r_exact` in the sidecars; neither is written or read now
+        monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+        old = tmp_path / "old"
+        shutil.copytree(suite_dir, old)
+        manifest = old / "manifest.csv"
+        with manifest.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "forced" not in rows[0]
+        for row in rows:
+            row["forced"] = "0"
+            row["attempts"] = row.pop("attempts")
+        manifest.write_text(pipeline.csv_text(rows), newline="")
+        sidecars = sorted((old / "profiles").iterdir())
+        assert len(sidecars) == len(rows)
+        for path in sidecars:
+            d = json.loads(path.read_text())
+            for p in d["per_var"]:
+                assert "r" not in p
+                p["r"] = float(Fraction(p["r_exact"]))
+            path.write_text(json.dumps(d, sort_keys=True, indent=1))
+
+        runs = {}
+        for name, suite in (("new", suite_dir), ("old", old)):
+            out = tmp_path / f"run-{name}"
+            argv = ["experiment", "run", "--plan", "decay", "--suite", str(suite)]
+            argv += ["--out", str(out), "--runs-per-formula", "1", "--k", "50"]
+            assert main(argv) == 0
+            runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        new_run, old_run = (json.loads(runs[name].pop("run.json")) for name in runs)
+        assert new_run.pop("suite") != old_run.pop("suite")
+        assert new_run == old_run
+        assert "records.jsonl" in runs["new"] and len(runs["new"]) > 2
+        assert runs["new"] == runs["old"]
 
 
 def _solves(formula_id, label, results, conflicts):
