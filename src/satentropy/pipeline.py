@@ -1,6 +1,6 @@
 """Experiment orchestration: run paired solver configurations over a
 generated suite, persist per-formula records, and emit plot data and
-regression tables.
+regression tables for each measure in MEASURES, the one measure table.
 
 Each formula is solved runs_per_formula times under each of plan.configs,
 run r seeded by sub_seed(seed, formula_id, r). A solve record holds
@@ -67,6 +67,9 @@ class ExperimentPlan:
 
 
 CACHE_DIR_ENV = "SATENTROPY_CACHE_DIR"
+# (name, title): a FormulaProfile attribute, record field and records.csv
+# column, and its table-row label; two-measure tests take the first two rows
+MEASURES = (("entropy", "Entropy"), ("density", "Density"))
 
 
 def parse_restart(spec: str):
@@ -503,8 +506,7 @@ def formula_record(
         )
     return {
         "formula_id": formula_id,
-        "entropy": profile.entropy,
-        "density": profile.density,
+        **{name: getattr(profile, name) for name, _ in MEASURES},
         "backbone": profile.backbone_count,
         "conflicts": {
             label: sum(s["conflicts"] for s in ss) / len(ss)
@@ -639,6 +641,29 @@ def aggregate_plot(
     return points, trend
 
 
+def standard_columns(raw: dict[str, list]) -> dict[str, list[float]]:
+    """Each named column as numbers, standardized, for every report and
+    `analyze` statistic; ValueError naming the column on a non-number, a
+    constant column or one with fewer than the 3 rows a slope needs."""
+    cols = {}
+    for name, values in raw.items():
+        xs = []
+        for row, v in enumerate(values, 1):
+            try:
+                xs.append(float(v))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"column {name!r}, data row {row}: {v!r} is not a number"
+                ) from None
+        n = len(xs)
+        if n < 3:
+            raise ValueError(f"column {name!r} has {n} of the 3 rows a slope needs")
+        if len(set(xs)) == 1:
+            raise ValueError(f"column {name!r} is constant, {xs[0]:.12g} in all {n} rows")
+        cols[name] = stats.standardize(xs)
+    return cols
+
+
 # ------------------------------------------------------------ reporting
 
 def _fmt_p(p: float) -> str:
@@ -653,7 +678,7 @@ def _fmt_ci(ci: tuple[float, float]) -> str:
 def comparison_table(
     deltas: list[stats.RegressionResult], gaps: list[stats.BetaGapResult]
 ) -> list[dict]:
-    """Rows Entropy and Density with the gap-regression and slope-gap tests."""
+    """One row per measure with the gap-regression and slope-gap tests."""
     return [
         {
             "measure": title,
@@ -664,19 +689,20 @@ def comparison_table(
             "delta_beta0_ci": _fmt_ci(gap.intercept_gap_ci95),
             "delta_beta0_p": _fmt_p(gap.intercept_gap_p),
         }
-        for title, delta, gap in zip(("Entropy", "Density"), deltas, gaps)
+        for (_, title), delta, gap in zip(MEASURES, deltas, gaps)
     ]
 
 
 def hardness_table(labels: list[str], gaps: list[stats.BetaGapResult]) -> list[dict]:
-    """Per solver config: entropy and density slope CIs and the slope gap."""
+    """Per solver config: the first two measures' slope CIs and slope gap."""
+    (a, _), (b, _) = MEASURES[:2]
     return [
         {
             "config": label,
-            "beta_entropy_ci": _fmt_ci(gap.beta_a_ci95),
-            "beta_entropy_p": _fmt_p(gap.beta_a.p_two_sided),
-            "beta_density_ci": _fmt_ci(gap.beta_b_ci95),
-            "beta_density_p": _fmt_p(gap.beta_b.p_two_sided),
+            f"beta_{a}_ci": _fmt_ci(gap.beta_a_ci95),
+            f"beta_{a}_p": _fmt_p(gap.beta_a.p_two_sided),
+            f"beta_{b}_ci": _fmt_ci(gap.beta_b_ci95),
+            f"beta_{b}_p": _fmt_p(gap.beta_b.p_two_sided),
             "gap_ci": _fmt_ci(gap.gap_ci95),
             "gap_p": _fmt_p(gap.gap_p),
         }
@@ -690,23 +716,13 @@ def analysis_table(
     """The `analyze` table of the results CSV at path, refused when empty
     or short of a column; test is delta or delta-beta (one row per measure)
     or beta-gap (col_a's entropy slope against its density slope)."""
-    def column(name):
-        values = []
-        for row, r in enumerate(rows, 1):
-            try:
-                values.append(float(r[name]))
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"column {name!r}, data row {row}: {r[name]!r} is not a number"
-                ) from None
-        return values
-
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     if not rows:
         raise ValueError("empty results file")
-    names = ["entropy", "density", col_a] + ([col_b] if test != "beta-gap" else [])
+    measures = [name for name, _ in MEASURES]
+    names = [*measures, col_a] + ([col_b] if test != "beta-gap" else [])
     for name in names:
         if name not in reader.fieldnames:
             raise ValueError(
@@ -714,20 +730,18 @@ def analysis_table(
                 f"{', '.join(reader.fieldnames)}); name the conflict columns "
                 "with --col-a/--col-b"
             )
-    raw = {name: column(name) for name in names}
-    cols = {name: stats.standardize(xs) for name, xs in raw.items()}
-    measures, titles = ("entropy", "density"), ("Entropy", "Density")
+    cols = standard_columns({name: [r[name] for r in rows] for name in names})
     if test == "delta":
         fits = [stats.delta_test(cols[m], cols[col_a], cols[col_b]) for m in measures]
-        results = [(t, f.ci95, f.p_two_sided) for t, f in zip(titles, fits)]
+        results = [(t, f.ci95, f.p_two_sided) for (_, t), f in zip(MEASURES, fits)]
     elif test == "delta-beta":
         gaps = [((m, col_a), (m, col_b)) for m in measures]
         fits = stats.slope_gaps(cols, gaps, k, seed)
-        results = [(t, f.gap_ci95, f.gap_p) for t, f in zip(titles, fits)]
+        results = [(t, f.gap_ci95, f.gap_p) for (_, t), f in zip(MEASURES, fits)]
     else:
-        gap = (("entropy", col_a), ("density", col_a))
-        [fit] = stats.slope_gaps(cols, [gap], k, seed)
-        results = [("Entropy-vs-Density", fit.gap_ci95, fit.gap_p)]
+        (a, title_a), (b, title_b) = MEASURES[:2]
+        [fit] = stats.slope_gaps(cols, [((a, col_a), (b, col_a))], k, seed)
+        results = [(f"{title_a}-vs-{title_b}", fit.gap_ci95, fit.gap_p)]
     return [
         {"measure": title, "conf_interval": _fmt_ci(ci), "p_val": _fmt_p(p)}
         for title, ci, p in results
@@ -772,26 +786,25 @@ def emit_report(
     labels = [label for label, _ in plan.configs]
     paired = len(labels) == 2
 
-    rec_rows = []
-    for r in records:
-        row = {
+    measures = [m for m, _ in MEASURES]
+    ys = [f"conflicts[{label}]" for label in labels]
+    rec_rows = [
+        {
             "formula_id": r["formula_id"],
-            "entropy": f"{r['entropy']:.12g}",
-            "density": f"{r['density']:.12g}",
+            **{m: f"{r[m]:.12g}" for m in measures},
             "backbone": r["backbone"],
+            **{y: f"{r['conflicts'][lb]:.12g}" for y, lb in zip(ys, labels)},
         }
-        for label in labels:
-            row[f"conflicts[{label}]"] = f"{r['conflicts'][label]:.12g}"
-        rec_rows.append(row)
+        for r in records
+    ]
     files["records.csv"] = csv_text(rec_rows)
 
-    for measure in ("entropy", "density"):
-        if paired:
-            value_fn = lambda r: r["conflicts"][labels[0]] - r["conflicts"][labels[1]]
-            stem = f"plot_{plan.name}_gap_vs_{measure}"
-        else:
-            value_fn = lambda r: r["conflicts"][labels[0]]
-            stem = f"plot_{plan.name}_conflicts_vs_{measure}"
+    def value_fn(r):
+        c = r["conflicts"]
+        return c[labels[0]] - c[labels[1]] if paired else c[labels[0]]
+
+    for measure in measures:
+        stem = f"plot_{plan.name}_{'gap' if paired else 'conflicts'}_vs_{measure}"
         points, trend = aggregate_plot(records, measure, value_fn)
         rows = [
             {"x": f"{pt.x:.2f}", "y": f"{pt.y:.12g}", "count": pt.count}
@@ -805,19 +818,18 @@ def emit_report(
                 "p_two_sided": _fmt_p(trend.p_two_sided),
             }])
 
-    ys = [f"conflicts[{label}]" for label in labels]
-    raw = {m: [r[m] for r in records] for m in ("entropy", "density")}
+    raw = {m: [r[m] for r in records] for m in measures}
     raw.update((y, [r["conflicts"][lb] for r in records]) for y, lb in zip(ys, labels))
-    cols = {name: stats.standardize(xs) for name, xs in raw.items()}
+    cols = standard_columns(raw)
     # one bootstrap for all slope gaps: a vs b per measure, then per config
-    gaps = [((m, ys[0]), (m, ys[1])) for m in ("entropy", "density") if paired]
-    gaps += [(("entropy", y), ("density", y)) for y in ys]
+    gaps = [((m, ys[0]), (m, ys[1])) for m in measures if paired]
+    gaps += [((measures[0], y), (measures[1], y)) for y in ys]
     results = stats.slope_gaps(cols, gaps, k, seed)
 
     if paired:
         ca, cb = cols[ys[0]], cols[ys[1]]
-        deltas = [stats.delta_test(cols[m], ca, cb) for m in ("entropy", "density")]
-        table = comparison_table(deltas, results[:2])
+        deltas = [stats.delta_test(cols[m], ca, cb) for m in measures]
+        table = comparison_table(deltas, results[: len(measures)])
         files["comparison_table.csv"] = csv_text(table)
         files["comparison_table.txt"] = aligned_text(table)
 
@@ -825,8 +837,8 @@ def emit_report(
     files["hardness_table.csv"] = csv_text(htable)
     files["hardness_table.txt"] = aligned_text(htable)
 
-    # cross-measure check: are entropy and density themselves correlated?
-    xm = stats.ols(cols["entropy"], cols["density"])
+    # cross-measure check: are the first two measures themselves correlated?
+    xm = stats.ols(cols[measures[0]], cols[measures[1]])
     files["cross_measure.csv"] = csv_text([{
         "beta_ci": _fmt_ci(xm.ci95),
         "beta": f"{xm.beta:.12g}",

@@ -903,3 +903,103 @@ class TestGoldenReport:
             blob = captured.out.encode() + b"\0" + captured.err.encode()
             digests[which, test] = hashlib.sha256(blob).hexdigest()
         assert digests == self.ANALYZE
+
+
+class TestUnusableColumn:
+    """A report or `analyze` column that no slope can be fitted on is
+    refused with its name and row count, and no report file is written."""
+
+    @staticmethod
+    def plan_and_records(n):
+        plan = make_plan("decay")
+        return plan, TestGoldenReport.records(plan, "synthetic")[:n]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_report_on_too_few_records(self, tmp_path, n):
+        plan, records = self.plan_and_records(n)
+        message = f"^column 'entropy' has {n} of the 3 rows a slope needs$"
+        with pytest.raises(ValueError, match=message):
+            emit_report(plan, records, tmp_path / "out", k=10, seed=0)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_report_on_a_constant_conflict_column(self, tmp_path):
+        plan, records = self.plan_and_records(40)
+        (label_a, _), _ = plan.configs
+        for rec in records:
+            rec["conflicts"][label_a] = 7.0
+        column = f"conflicts[{label_a}]"
+        message = f"column {column!r} is constant, 7 in all 40 rows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            emit_report(plan, records, tmp_path / "out", k=10, seed=0)
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def results_csv(tmp_path, rows):
+        path = tmp_path / "results.csv"
+        lines = [f"0.{i + 1},0.{9 - i},{a},{b}\n" for i, (a, b) in enumerate(rows)]
+        path.write_text("entropy,density,conflicts_a,conflicts_b\n" + "".join(lines))
+        return path
+
+    @pytest.mark.parametrize("test", ["delta", "delta-beta", "beta-gap"])
+    def test_analyze_on_two_rows(self, tmp_path, capsys, test):
+        path = self.results_csv(tmp_path, [(3, 4), (5, 1)])
+        message = "column 'entropy' has 2 of the 3 rows a slope needs"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pipeline.analysis_table(path, test, "conflicts_a", "conflicts_b", 20, 0)
+        assert main(["analyze", str(path), "--test", test]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("test", ["delta", "delta-beta", "beta-gap"])
+    def test_analyze_on_a_constant_col_a(self, tmp_path, capsys, test):
+        path = self.results_csv(tmp_path, [(3, 4), (3, 1), (3, 8)])
+        message = "column 'conflicts_a' is constant, 3 in all 3 rows"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pipeline.analysis_table(path, test, "conflicts_a", "conflicts_b", 20, 0)
+        assert main(["analyze", str(path), "--test", test]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestMeasureTable:
+    """pipeline.MEASURES is the one list of measures: a row added to it
+    reaches every per-measure report file and `analyze` table, and the
+    files that compare the first two measures do not change."""
+
+    def test_a_third_measure_reaches_every_per_measure_output(
+        self, tmp_path, monkeypatch
+    ):
+        plan = make_plan("decay")
+        (label_a, _), (label_b, _) = plan.configs
+        records = TestGoldenReport.records(plan, "synthetic")
+        for i, rec in enumerate(records):
+            rec["backbone"] = i % 4
+        two, three = tmp_path / "two", tmp_path / "three"
+        emit_report(plan, records, two, k=50, seed=1)
+        monkeypatch.setattr(
+            pipeline, "MEASURES", (*pipeline.MEASURES, ("backbone", "Backbone"))
+        )
+        emit_report(plan, records, three, k=50, seed=1)
+
+        def read(path):
+            with path.open(newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        old = read(two / "comparison_table.csv")
+        new = read(three / "comparison_table.csv")
+        assert [r["measure"] for r in new] == ["Entropy", "Density", "Backbone"]
+        assert new[:2] == old
+        assert (three / "plot_decay_gap_vs_backbone.csv").exists()
+        assert not (two / "plot_decay_gap_vs_backbone.csv").exists()
+        for name in ("hardness_table.csv", "cross_measure.csv", "records.csv"):
+            assert (three / name).read_bytes() == (two / name).read_bytes(), name
+
+        args = (f"conflicts[{label_a}]", f"conflicts[{label_b}]", 50, 1)
+        tables = {
+            test: pipeline.analysis_table(three / "records.csv", test, *args)
+            for test in ("delta", "delta-beta")
+        }
+        monkeypatch.undo()
+        for test, table in tables.items():
+            assert [r["measure"] for r in table] == ["Entropy", "Density", "Backbone"]
+            assert table[:2] == pipeline.analysis_table(
+                three / "records.csv", test, *args
+            )
