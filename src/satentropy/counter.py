@@ -8,7 +8,8 @@ cache keyed by its clause ids and variables, and on a miss branches on the
 variable with the largest occurrence product (pos + 1) * (neg + 1), where a
 binary clause weighs 5 and ties go to the lowest variable (Sang, Beame &
 Kautz, SAT 2005). A node of CountBudget.max_nodes is one such component
-step. In one pass the counter returns the model count and, per variable,
+step. The steps run on one explicit stack, so the search has no depth
+limit. In one pass the counter returns the model count and, per variable,
 the number of models that set the variable true; count_models is its count
 half. count_models_bruteforce is an independent truth-table oracle used by
 the test suite. All count total assignments over all declared variables,
@@ -137,22 +138,44 @@ def _components(res: dict, variables: set, var_occ: dict) -> list[tuple[dict, se
     return comps
 
 
-def _count_marginals(residual, variables: set, run: _Run) -> tuple[int, dict]:
-    """Models over `variables` of a _propagate result, and for each variable
-    the number of models that set it true; (0, {}) for a conflict (None).
+def _count(res: dict, variables: set, lits, run: _Run):
+    """One decision: the models over `variables` of residual `res` with `lits`
+    asserted, and per variable the number of models setting it true; (0, {})
+    on conflict. Variables missing from the marginal dict are true in none.
 
-    Variables missing from the marginal dict are true in no model. The
-    residual's variables are counted component by component; the others
-    were asserted, so each is true in all models or in none, or vanished
-    unassigned, so each doubles the count and is true in half the models.
+    A generator: it yields each branch of a component as the arguments of
+    that branch's step, (res, variables, lits), and is sent back the step's
+    (count, marginals). The residual's variables are counted component by
+    component, one node each; the others were asserted, so each is true in
+    all models or in none, or vanished unassigned, so each doubles the count
+    and is true in half the models. Cached results are never mutated.
     """
+    residual = _propagate(res, lits, run.occ)
     if residual is None:
         return 0, {}
     res, asserted, rvars = residual
     parts = []
     total = 1
-    for comp in _components(res, rvars, run.var_occ):
-        part = _count_component(*comp, run)
+    for comp, cvars in _components(res, rvars, run.var_occ):
+        run.tick()
+        # the clause ids and variables fix each residual clause: the original
+        # clause's literals over `cvars`
+        key = (frozenset(comp), frozenset(cvars))
+        part = run.cache.get(key)
+        if part is None:
+            # occurrence product, a binary clause weighing 5; ties to the lowest variable
+            occ = Counter(chain.from_iterable(comp.values()))
+            occ.update(chain.from_iterable([cl for cl in comp.values() if len(cl) == 2] * 4))
+            v = -max([((occ[u] + 1) * (occ[-u] + 1), -u) for u in cvars])[1]
+            count, marg = yield comp, cvars, (v,)
+            neg_count, neg_marg = yield comp, cvars, (-v,)
+            if marg:
+                for u, m in neg_marg.items():
+                    marg[u] = marg.get(u, 0) + m
+            else:
+                marg = neg_marg
+            part = (count + neg_count, marg)
+            run.cache_put(key, part)
         total *= part[0]
         if total == 0:
             return 0, {}
@@ -171,39 +194,6 @@ def _count_marginals(residual, variables: set, run: _Run) -> tuple[int, dict]:
     return total, marg
 
 
-def _count_component(res: dict, variables: set, run: _Run) -> tuple[int, dict]:
-    """Count and marginals of one connected component: one node. The result
-    may be shared with the component cache, so callers must not mutate it."""
-    run.tick()
-    # the clause ids and variables fix each residual clause: the original
-    # clause's literals over `variables`
-    key = (frozenset(res), frozenset(variables))
-    cached = run.cache.get(key)
-    if cached is not None:
-        return cached
-
-    # occurrence product, a binary clause weighing 5; ties to the lowest variable
-    occ = Counter(chain.from_iterable(res.values()))
-    occ.update(chain.from_iterable([cl for cl in res.values() if len(cl) == 2] * 4))
-    branch_var = -max([((occ[v] + 1) * (occ[-v] + 1), -v) for v in variables])[1]
-
-    total = 0
-    marg: dict[int, int] = {}
-    for lit in (branch_var, -branch_var):
-        residual = _propagate(res, (lit,), run.occ)
-        count, branch_marg = _count_marginals(residual, variables, run)
-        total += count
-        if marg:
-            for v, m in branch_marg.items():
-                marg[v] = marg.get(v, 0) + m
-        else:
-            marg = branch_marg
-
-    result = (total, marg)
-    run.cache_put(key, result)
-    return result
-
-
 def count_with_marginals(
     formula: CnfFormula, budget: CountBudget | None = None
 ) -> tuple[int, dict[int, int]]:
@@ -214,13 +204,23 @@ def count_with_marginals(
     marginals[v] == count_conditioned(formula, v) for every v.
     """
     n = formula.num_vars
+    if not all(formula.clauses):
+        return 0, dict.fromkeys(range(1, n + 1), 0)
     # _propagate needs distinct literals; a directly built Clause may repeat one
     clauses = [tuple(set(cl)) for cl in formula.clause_lists()]
     run = _Run(clauses, budget or CountBudget())
     units = [cl[0] for cl in clauses if len(cl) == 1]
     res = {i: cl for i, cl in enumerate(clauses) if len(cl) > 1}
-    residual = _propagate(res, units, run.occ) if all(clauses) else None
-    total, marg = _count_marginals(residual, set(range(1, n + 1)), run)
+    # the steps run on one explicit stack, the innermost last: no recursion
+    stack, sent = [_count(res, set(range(1, n + 1)), units, run)], None
+    while stack:
+        try:
+            stack.append(_count(*stack[-1].send(sent), run))
+            sent = None
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+    total, marg = sent
     return total, {v: marg.get(v, 0) for v in range(1, n + 1)}
 
 

@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -522,6 +521,9 @@ def _mapper(jobs: int, items: int):
     """map, or a process pool's order-keeping map when it has work for
     more than one worker."""
     if jobs > 1 and items > 1:
+        # imported here, so that a run without --jobs never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield pool.map
     else:
@@ -716,6 +718,8 @@ def analysis_table(
     """The `analyze` table of the results CSV at path, refused when empty
     or short of a column; test is delta or delta-beta (one row per measure)
     or beta-gap (col_a's entropy slope against its density slope)."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, not {k}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)

@@ -35,6 +35,13 @@ def random_3sat(seed, n, ratio):
     return gen_random_3sat(n, max(1, round(n * ratio)), seed)
 
 
+def chain(n):
+    """The implication chain [-i, i+1] with no unit: its n + 1 models set a
+    suffix of the variables true, and the counter's search of it takes 600
+    nodes at n = 1201, one a decision."""
+    return CnfFormula.from_clause_lists(n, [[-i, i + 1] for i in range(1, n)])
+
+
 def criterion_1_corpus():
     """(seed, formula) for the 500 random 3-SAT formulas of acceptance
     criterion 1: n = 5..20 over five clause/variable ratios."""

@@ -16,6 +16,7 @@ from satentropy.cli import (
 )
 from satentropy.cnf import CnfFormula, content_hash, parse_dimacs, write_dimacs
 from satentropy.solver import SolverConfig, solve
+from conftest import chain
 
 
 @pytest.fixture
@@ -48,6 +49,25 @@ class TestCount:
         p = tmp_path / "hard.cnf"
         p.write_text(write_dimacs(gen_random_3sat(18, 76, 1)))
         assert main(["count", str(p), "--max-nodes", "1"]) == EXIT_BUDGET
+
+
+    @pytest.fixture
+    def chain_file(self, tmp_path):
+        p = tmp_path / "chain.cnf"
+        p.write_text(write_dimacs(chain(1201)))
+        return str(p)
+
+    def test_deep_search(self, chain_file, capsys):
+        assert main(["count", chain_file]) == EXIT_OK
+        assert capsys.readouterr().out == "1202\n"
+        assert main(["profile", chain_file]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["model_count"], rec["backbone_count"]) == ("1202", 0)
+
+    @pytest.mark.parametrize("nodes", ["100", "599"])
+    def test_deep_search_budget_exit_3(self, chain_file, capsys, nodes):
+        assert main(["count", chain_file, "--max-nodes", nodes]) == EXIT_BUDGET
+        assert capsys.readouterr().err == f"error: node budget {nodes} exceeded\n"
 
 
 class TestProfile:
@@ -341,6 +361,21 @@ class TestGenAndExperiment:
         assert err.count("\n") == 1 and "unexpected" not in err
         assert "'conflicts_a'" in err and "conflicts[x], conflicts[y]" in err
         assert "--col-a" in err and "--col-b" in err
+
+    @pytest.mark.parametrize("test", ["delta", "delta-beta", "beta-gap"])
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_analyze_refuses_k_below_one(self, tmp_path, capsys, test, k):
+        # the same message as experiment run's, whether or not the test resamples
+        p = tmp_path / "results.csv"
+        p.write_text(
+            "entropy,density,conflicts_a,conflicts_b\n"
+            + "".join(f"0.{i},0.{9 - i},{i},{i * i}\n" for i in range(5))
+        )
+        assert main(["analyze", str(p), "--test", test, "--k", k]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: k must be at least 1, not {k}\n"
+        assert captured.out == ""
+
 
     def test_config_file_sets_shared_dimensions(self, tmp_path, capsys):
         suite = tmp_path / "suite"

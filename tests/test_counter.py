@@ -1,4 +1,7 @@
+import json
 import random
+from itertools import count
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,13 @@ from satentropy.counter import (
     find_model,
 )
 from satentropy.entropy import profile_formula
-from conftest import criterion_1_corpus, criterion_2_corpus, random_formula, random_3sat
+from conftest import (
+    chain,
+    criterion_1_corpus,
+    criterion_2_corpus,
+    random_formula,
+    random_3sat,
+)
 
 
 def differential_corpus():
@@ -265,3 +274,90 @@ def test_branching_rule_keeps_node_count_low():
 
     f = gen_random_3sat(80, 336, 3)
     assert count_models(f, CountBudget(max_nodes=300)) == 2
+
+
+def test_deep_chain_counts_and_profiles():
+    # deeper than Python's default recursion limit allows two frames a decision
+    f = chain(1201)
+    assert count_with_marginals(f) == (1202, {v: v for v in range(1, 1202)})
+    p = profile_formula(f)
+    assert (p.model_count, p.backbone_count) == (1202, 0)
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (CountBudget(max_nodes=100), "node budget 100 exceeded"),
+        (CountBudget(max_nodes=599), "node budget 599 exceeded"),
+        (CountBudget(max_seconds=0), "time budget 0s exceeded"),
+    ],
+    ids=["nodes", "last-node", "seconds"],
+)
+def test_budget_is_enforced_at_any_depth(budget, message):
+    # the deadline is read every 256 nodes
+    with pytest.raises(BudgetExceeded, match=message):
+        count_with_marginals(chain(1201), budget)
+
+
+# ------------------------------------------------- golden counter search
+
+GOLDEN_SEARCH_PATH = Path(__file__).with_name("golden_counter_search.json")
+
+
+def golden_search_formulas():
+    """(name, formula): the criterion-1 corpus and the first 20 satisfiable
+    draws of gen_random_3sat(40, 164, s)."""
+    from satentropy.benchgen import gen_random_3sat
+
+    for seed, f in criterion_1_corpus():
+        yield f"criterion1-s{seed}", f
+    kept = 0
+    for seed in count():
+        f = gen_random_3sat(40, 164, seed)
+        if find_model(f) is not None:
+            yield f"3sat-n40-m164-s{seed}", f
+            kept += 1
+            if kept == 20:
+                return
+
+
+def golden_search_cases(monkeypatch):
+    """Per formula, the nodes and component cache entries of its counting
+    pass, read off the pass's _Run."""
+    from satentropy import counter
+
+    runs = []
+
+    class RecordingRun(counter._Run):
+        def __post_init__(self):
+            super().__post_init__()
+            runs.append(self)
+
+    monkeypatch.setattr(counter, "_Run", RecordingRun)
+    for name, f in golden_search_formulas():
+        count_with_marginals(f)
+        (run,) = runs
+        runs.clear()
+        yield {"formula": name, "nodes": run.nodes, "cache_entries": len(run.cache)}
+
+
+def test_counter_search_matches_golden_corpus(monkeypatch):
+    # the counter's search is pinned: any change to branching, components,
+    # the cache key or the node tick shows up as a changed node or cache count
+    golden = json.loads(GOLDEN_SEARCH_PATH.read_text())
+    actual = list(golden_search_cases(monkeypatch))
+    assert len(actual) == len(golden) == 520
+    for got, want in zip(actual, golden):
+        assert got == want, want["formula"]
+
+
+if __name__ == "__main__":
+    # Re-record the golden search corpus (only after a deliberate change of
+    # the search): PYTHONPATH=src:tests python tests/test_counter.py
+    mp = pytest.MonkeyPatch()
+    cases = list(golden_search_cases(mp))
+    mp.undo()
+    GOLDEN_SEARCH_PATH.write_text(
+        "[\n" + ",\n".join(json.dumps(c, sort_keys=True) for c in cases) + "\n]\n"
+    )
+    print(f"wrote {len(cases)} cases to {GOLDEN_SEARCH_PATH}")
