@@ -52,15 +52,26 @@ def _cmd_profile(args) -> int:
     return EXIT_OK
 
 
+def _add_config_flags(p) -> None:
+    """The config keys as solve's and experiment run's flags."""
+    p.add_argument("--restart", help="luby:N or glucose:W:M")
+    p.add_argument("--keep", help="lbd:N or size:N")
+    p.add_argument("--decay", type=float)
+    p.add_argument(
+        "--reduce-interval", type=int, help="conflicts between database reductions"
+    )
+
+
+def _config_flags(args) -> dict:
+    """The config keys given as flags; SolverConfig has the rest's defaults."""
+    given = {key: getattr(args, key) for key in pipeline.CONFIG_KEYS}
+    return {key: value for key, value in given.items() if value is not None}
+
+
 def _cmd_solve(args) -> int:
     formula = _read_formula(args.file)
-    # the heuristic flags are the config keys; SolverConfig holds the
-    # defaults of the flags not given
-    given = {key: getattr(args, key) for key in pipeline.CONFIG_KEYS}
     config = pipeline.config_from_spec(
-        {key: value for key, value in given.items() if value is not None},
-        seed=args.seed,
-        conflict_budget=args.conflict_budget,
+        _config_flags(args), seed=args.seed, conflict_budget=args.conflict_budget
     )
     st = solve(formula, config)
     print(json.dumps(st.to_dict(), sort_keys=True))
@@ -80,10 +91,6 @@ def int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-def target_clauses(text: str) -> dict[int, int]:
-    return {int(t): int(m) for t, m in (p.split("=") for p in text.split(","))}
-
-
 def _cmd_gen(args) -> int:
     rows = pipeline.build_suite(
         targets=args.backbones,
@@ -91,7 +98,6 @@ def _cmd_gen(args) -> int:
         num_vars=args.vars,
         seed=args.seed,
         out_dir=args.out,
-        clauses_per_target=args.clauses_per_bucket,
         clause_ratio=args.ratio,
         max_attempts=args.max_attempts,
         tune_clauses=args.tune_clauses,
@@ -103,11 +109,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.action == "run":
-        overrides = pipeline.load_solver_defaults(args.config) if args.config else {}
-        if args.reduce_interval is not None:
-            overrides["reduce_interval"] = args.reduce_interval
+        shared = pipeline.config_fields(_config_flags(args))
         plan = pipeline.make_plan(
-            args.plan, args.runs_per_formula, args.seed, base_overrides=overrides
+            args.plan, args.runs_per_formula, args.seed, base_overrides=shared
         )
         records = pipeline.run_experiment(
             plan, args.suite, args.out, jobs=args.jobs, k=args.k
@@ -146,10 +150,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="run the CDCL solver")
     p.add_argument("file")
-    p.add_argument("--restart", help="luby:N or glucose:W:M")
-    p.add_argument("--keep", help="lbd:N or size:N")
-    p.add_argument("--decay", type=float)
-    p.add_argument("--reduce-interval", type=int)
+    _add_config_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conflict-budget", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
@@ -163,12 +164,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ratio", type=float, default=4.25)
-    p.add_argument(
-        "--clauses-per-bucket",
-        type=target_clauses,
-        default=None,
-        help="per-target clause counts, e.g. 2=70,18=92",
-    )
     p.add_argument("--max-attempts", type=int, default=100_000)
     p.add_argument(
         "--tune-clauses",
@@ -186,18 +181,8 @@ def build_parser() -> _Parser:
     pr.add_argument("--jobs", type=int, default=1)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--runs-per-formula", type=int, default=5)
-    pr.add_argument(
-        "--reduce-interval",
-        type=int,
-        default=None,
-        help="conflicts between database reductions (default: the --config "
-        "file's reduce_interval, else 2000)",
-    )
-    pr.add_argument(
-        "--config",
-        default=None,
-        help="key=value file with solver defaults for the shared dimensions",
-    )
+    # the flag of the plan's tested dimension is ignored
+    _add_config_flags(pr)
     pr.add_argument("--k", type=int, default=1000)
     pr.set_defaults(func=_cmd_experiment)
     pp = psub.add_parser("report")

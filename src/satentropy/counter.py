@@ -41,6 +41,11 @@ class CountBudget:
     max_nodes: int | None = None
     max_seconds: float | None = None
 
+    def __post_init__(self):
+        # a NaN deadline would compare false and silently never expire
+        if self.max_seconds != self.max_seconds:
+            raise ValueError(f"time budget must be a number, not {self.max_seconds}")
+
 
 # Memory guard on the component cache of one counting run. Past it, the
 # oldest quarter of the entries is evicted at once (FIFO): evicting one at a
@@ -73,7 +78,8 @@ class _Run:
         self.nodes += 1
         if self.budget.max_nodes is not None and self.nodes > self.budget.max_nodes:
             raise BudgetExceeded(f"node budget {self.budget.max_nodes} exceeded")
-        if self.deadline is not None and self.nodes % 256 == 0:
+        # the clock is read on the first node and every 256th after it
+        if self.deadline is not None and self.nodes % 256 == 1:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded(
                     f"time budget {self.budget.max_seconds}s exceeded"

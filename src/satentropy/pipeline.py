@@ -111,8 +111,8 @@ def _restart_spec(policy) -> str:
     return policy.label()
 
 
-# config key -> (SolverConfig field, parser); key=value config files, the
-# configs in run.json and the solve command's flags share these keys
+# config key -> (SolverConfig field, parser); the configs in run.json and
+# the flags of solve and experiment run share these keys
 CONFIG_KEYS = {
     "restart": ("restart", parse_restart),
     "keep": ("deletion", parse_keep),
@@ -121,44 +121,23 @@ CONFIG_KEYS = {
 }
 
 
-def _setting(key: str, value) -> tuple[str, object]:
-    """(SolverConfig field, parsed value) of one config key; ValueError on
-    an unknown key or a bad value."""
-    if key not in CONFIG_KEYS:
-        raise ValueError(f"unknown key {key!r}")
-    field, parse = CONFIG_KEYS[key]
-    return field, parse(value)
+def config_fields(spec: dict) -> dict:
+    """The SolverConfig fields that spec's config keys set, parsed;
+    ValueError on an unknown key or a bad value."""
+    fields = {}
+    for key, value in spec.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        field, parse = CONFIG_KEYS[key]
+        fields[field] = parse(value)
+    return fields
 
 
 def config_from_spec(spec: dict, **fields) -> SolverConfig:
     """The SolverConfig that spec's config keys (and any other SolverConfig
     fields given by name) set; SolverConfig's defaults fill the rest.
     ValueError on an unknown key or a bad value."""
-    return SolverConfig(
-        **dict(_setting(key, value) for key, value in spec.items()), **fields
-    )
-
-
-def load_solver_defaults(path: str | Path) -> dict:
-    """Plain key=value config file for solver defaults.
-
-    Recognized keys: restart (luby:N or glucose:W:M), keep (lbd:N or
-    size:N), decay, reduce_interval. Blank lines and #-comments ignored.
-    """
-    overrides: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        try:
-            field, parsed = _setting(key.strip(), value.strip())
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        overrides[field] = parsed
-    return overrides
+    return SolverConfig(**config_fields(spec), **fields)
 
 
 # plan -> (SolverConfig field under test, value in config A, value in B)
@@ -189,8 +168,9 @@ def make_plan(
     actually fires; on small instances set a reduce_interval well below
     the typical conflict count.
 
-    base_overrides (e.g. from load_solver_defaults) adjusts the shared
-    dimensions; the dimension under test always keeps its paired values.
+    base_overrides (SolverConfig fields, e.g. from config_fields) adjusts
+    the shared dimensions; the dimension under test always keeps its
+    paired values.
     """
     if name not in PLAN_NAMES:
         raise ValueError(f"unknown plan {name!r}")
@@ -298,7 +278,6 @@ def build_suite(
     num_vars: int,
     seed: int,
     out_dir: str | Path,
-    clauses_per_target: dict[int, int] | None = None,
     clause_ratio: float = 4.25,
     max_attempts: int = 100_000,
     tune_clauses: bool = False,
@@ -308,15 +287,14 @@ def build_suite(
     whole or not at all, and none before every instance is drawn.
 
     A bucket has round(num_vars * clause_ratio) clauses, or its
-    tuned_clause_counts value under tune_clauses, or its clauses_per_target
-    value where that names it. Each accepted instance is re-profiled
-    exactly, and the profile's backbone count is checked against the bucket
-    target. Profiles are stored as JSON sidecars under out_dir/profiles/,
-    or under $SATENTROPY_CACHE_DIR when it is set, where experiment runs
-    look. out_dir must be new or empty, so that it holds this suite alone.
+    tuned_clause_counts value under tune_clauses. Each accepted instance is
+    re-profiled exactly, and the profile's backbone count is checked against
+    the bucket target. Profiles are stored as JSON sidecars under
+    out_dir/profiles/, or under $SATENTROPY_CACHE_DIR when it is set, where
+    experiment runs look. out_dir must be new or empty, so that it holds
+    this suite alone.
     """
     out = Path(out_dir)
-    clauses_per_target = clauses_per_target or {}
     if per_bucket < 1 or not targets:
         raise ValueError(
             f"no instances to generate: targets {targets}, per_bucket {per_bucket}"
@@ -324,20 +302,13 @@ def build_suite(
     repeated = sorted({t for t in targets if targets.count(t) > 1})
     if repeated:
         raise ValueError(f"backbone targets {repeated} are given more than once")
-    stray = sorted(set(clauses_per_target) - set(targets))
-    if stray:
-        raise ValueError(
-            f"clause counts are given for targets {stray}, which are not among "
-            f"the backbone targets {targets}"
-        )
     if out.exists() and any(out.iterdir()):
         raise ValueError(
             f"{out} is not empty; write the suite to a new or empty directory"
         )
     num_clauses = dict.fromkeys(targets, round(num_vars * clause_ratio))
     if tune_clauses:
-        num_clauses.update(tuned_clause_counts(num_vars, targets))
-    num_clauses.update(clauses_per_target)
+        num_clauses = tuned_clause_counts(num_vars, targets)
 
     # specs are checked before the first draw, and instances drawn and profiled
     # before the first write, so a bad or exhausted bucket writes nothing

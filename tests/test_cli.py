@@ -15,7 +15,7 @@ from satentropy.cli import (
     main,
 )
 from satentropy.cnf import CnfFormula, content_hash, parse_dimacs, write_dimacs
-from satentropy.solver import SolverConfig, solve
+from satentropy.solver import solve
 from conftest import chain
 
 
@@ -50,6 +50,17 @@ class TestCount:
         p.write_text(write_dimacs(gen_random_3sat(18, 76, 1)))
         assert main(["count", str(p), "--max-nodes", "1"]) == EXIT_BUDGET
 
+    def test_time_budget_holds_from_the_first_node(self, sat_file, capsys):
+        assert main(["count", sat_file, "--max-seconds", "0"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.err == "error: time budget 0.0s exceeded\n"
+        assert captured.out == ""
+
+    def test_nan_time_budget_is_refused(self, chain_file, capsys):
+        assert main(["count", chain_file, "--max-seconds", "nan"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: time budget must be a number, not nan\n"
+        assert captured.out == ""
 
     @pytest.fixture
     def chain_file(self, tmp_path):
@@ -121,26 +132,33 @@ class TestSolve:
         assert main(["solve", sat_file, "--restart", "bogus"]) == EXIT_ERROR
 
     @pytest.mark.parametrize(
-        "lines",
+        "flags, spec",
         [
-            [],
-            ["decay = 0.6"],
-            ["restart = glucose:40:0.7", "keep = size:9", "reduce_interval = 30"],
+            ([], {}),
+            (["--decay", "0.6"], {"decay": 0.6}),
+            (
+                ["--restart", "glucose:40:0.7", "--keep", "size:9"]
+                + ["--reduce-interval", "30"],
+                {"restart": "glucose:40:0.7", "keep": "size:9", "reduce_interval": 30},
+            ),
         ],
+        ids=["none", "decay", "restart-keep-reduce"],
     )
-    def test_flags_mean_what_config_keys_mean(self, tmp_path, capsys, lines):
-        # flags not given take SolverConfig's defaults, as in a config file
+    def test_flags_mean_the_same_config_on_both_commands(
+        self, small_suite, tmp_path, capsys, flags, spec
+    ):
+        # flags not given take SolverConfig's defaults on both commands
+        res = tmp_path / "res"
+        assert main(_run_args(small_suite, res, "--plan", "hardness", *flags)) == EXIT_OK
+        config_a = json.loads((res / "run.json").read_text())["config_a"]
+        default = {"restart": "luby:100", "keep": "lbd:5", "decay": 0.95}
+        assert config_a == {**default, "reduce_interval": 2000, **spec}
+        capsys.readouterr()
+        formula = gen_random_3sat(70, 298, 5)
         path = tmp_path / "f.cnf"
-        path.write_text(write_dimacs(gen_random_3sat(70, 298, 5)))
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("".join(line + "\n" for line in lines))
-        argv = ["solve", str(path)]
-        for line in lines:
-            key, _, value = line.partition(" = ")
-            argv += ["--" + key.replace("_", "-"), value]
-        main(argv)
-        config = SolverConfig(**pipeline.load_solver_defaults(cfg))
-        st = solve(parse_dimacs(path.read_text()), config)
+        path.write_text(write_dimacs(formula))
+        main(["solve", str(path), *flags])
+        st = solve(formula, pipeline.config_from_spec(config_a, seed=0))
         assert st.conflicts > 50
         out = capsys.readouterr().out
         assert out.splitlines()[0] == json.dumps(st.to_dict(), sort_keys=True)
@@ -151,10 +169,8 @@ class TestSolve:
         message = f"error: reduce_interval must be at least 1, not {value}\n"
         assert main(["solve", sat_file, "--reduce-interval", value]) == EXIT_ERROR
         assert capsys.readouterr().err == message
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text(f"reduce_interval = {value}\n")
         argv = ["experiment", "run", "--plan", "decay", "--suite", str(tmp_path)]
-        argv += ["--out", str(tmp_path / "res"), "--config", str(cfg)]
+        argv += ["--out", str(tmp_path / "res"), "--reduce-interval", value]
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err == message
         assert not (tmp_path / "res").exists()
@@ -179,12 +195,10 @@ class TestSolve:
     ):
         assert main(["solve", sat_file, "--restart", spec]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text(f"restart = {spec}\n")
         argv = ["experiment", "run", "--plan", "decay", "--suite", str(tmp_path)]
-        argv += ["--out", str(tmp_path / "res"), "--config", str(cfg)]
+        argv += ["--out", str(tmp_path / "res"), "--restart", spec]
         assert main(argv) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "res").exists()
 
 
@@ -209,8 +223,6 @@ class TestUsage:
         [
             ("--backbones", "2,x"),
             ("--per-bucket", "x"),
-            ("--clauses-per-bucket", "2:70"),
-            ("--clauses-per-bucket", "2=x"),
             ("--backbones", "2,"),
         ],
     )
@@ -232,6 +244,27 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --force 2" in capsys.readouterr().err
         assert not (tmp_path / "suite").exists()
+
+    def test_gen_has_no_clauses_per_bucket_option(self, tmp_path, capsys):
+        argv = ["gen", "--vars", "12", "--backbones", "2", "--per-bucket", "1"]
+        argv += ["--seed", "5", "--out", str(tmp_path / "suite")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--clauses-per-bucket", "2=46"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --clauses-per-bucket 2=46" in err
+        assert not (tmp_path / "suite").exists()
+
+    def test_experiment_run_has_no_config_option(self, tmp_path, capsys):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("decay = 0.8\n")
+        argv = ["experiment", "run", "--plan", "decay", "--suite", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "res"), "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
 
 GEN_SMALL = ["gen", "--vars", "10", "--backbones", "2,4", "--per-bucket", "2"]
@@ -377,7 +410,7 @@ class TestGenAndExperiment:
         assert captured.out == ""
 
 
-    def test_config_file_sets_shared_dimensions(self, tmp_path, capsys):
+    def test_config_flags_set_shared_dimensions(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         assert (
             main(
@@ -398,8 +431,6 @@ class TestGenAndExperiment:
             )
             == EXIT_OK
         )
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("restart = glucose:30:0.7\nkeep = size:8\n")
         code = main(
             [
                 "experiment",
@@ -410,8 +441,10 @@ class TestGenAndExperiment:
                 str(suite),
                 "--out",
                 str(tmp_path / "res"),
-                "--config",
-                str(cfg),
+                "--restart",
+                "glucose:30:0.7",
+                "--keep",
+                "size:8",
                 "--k",
                 "20",
                 "--runs-per-formula",
@@ -427,33 +460,11 @@ class TestGenAndExperiment:
             "glucose:30:0.7|size:8|decay:0.6",
         }
 
-    def test_config_file_bad_key_is_runtime_error(self, tmp_path, capsys):
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("colour = blue\n")
-        code = main(
-            [
-                "experiment",
-                "run",
-                "--plan",
-                "decay",
-                "--suite",
-                str(tmp_path),
-                "--out",
-                str(tmp_path / "res"),
-                "--config",
-                str(cfg),
-            ]
-        )
-        assert code == EXIT_ERROR
-        assert "unknown key" in capsys.readouterr().err
-
     def test_report_reproduces_config_run_files(self, small_suite, tmp_path, capsys):
-        # report takes the configs from run.json, so the config file's
+        # report takes the configs from run.json, so the config flags'
         # labels are known to it
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("restart = glucose:50:0.8\n")
         res = tmp_path / "res"
-        run = _run_args(small_suite, res, "--config", str(cfg), "--k", "20")
+        run = _run_args(small_suite, res, "--restart", "glucose:50:0.8", "--k", "20")
         assert main(run) == EXIT_OK
         before = _files(res)
         assert "conflicts[glucose:50:0.8|lbd:5|decay:0.95]" in before["records.csv"].decode()
@@ -475,21 +486,9 @@ class TestGenAndExperiment:
         assert main(["experiment", "report", "--in", str(res)]) == EXIT_OK
         assert _files(res) == before
 
-    def test_reduce_interval_argument_wins(self, small_suite, tmp_path):
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("reduce_interval = 500\n")
-        res = tmp_path / "res"
-        argv = _run_args(small_suite, res, "--config", str(cfg))
-        assert main(argv + ["--reduce-interval", "50"]) == EXIT_OK
-        spec = json.loads((res / "run.json").read_text())
-        assert spec["config_a"]["reduce_interval"] == 50
-        assert spec["config_b"]["reduce_interval"] == 50
-
-    def test_config_file_reduce_interval_reaches_run_json(self, small_suite, tmp_path):
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("reduce_interval = 50\n")
+    def test_reduce_interval_flag_reaches_run_json(self, small_suite, tmp_path):
         res, plain = tmp_path / "res", tmp_path / "plain"
-        assert main(_run_args(small_suite, res, "--config", str(cfg))) == EXIT_OK
+        assert main(_run_args(small_suite, res, "--reduce-interval", "50")) == EXIT_OK
         assert main(_run_args(small_suite, plain)) == EXIT_OK
         configs = json.loads((res / "run.json").read_text())
         assert configs["config_a"]["reduce_interval"] == 50
@@ -627,27 +626,13 @@ class TestGenAndExperiment:
         assert main(["experiment", "report", "--in", str(res)]) == EXIT_ERROR
         assert "records.jsonl:2: malformed record" in capsys.readouterr().err
 
-    def test_tuned_buckets_keep_their_count_beside_given_ones(self, tmp_path):
-        suite = tmp_path / "suite"
-        argv = ["gen", "--vars", "12", "--backbones", "2,6", "--per-bucket", "1"]
-        argv += ["--seed", "5", "--tune-clauses", "--clauses-per-bucket", "2=46"]
-        assert main(argv + ["--out", str(suite)]) == EXIT_OK
-        clauses = {r["backbone"]: r["num_clauses"] for r in pipeline.load_suite(suite)}
-        assert clauses == {"2": "46", "6": "47"}  # 47 = round(12 * (3.4 + 1.05 / 2))
-
     @pytest.mark.parametrize(
         "option, value, message",
         [
             ("--backbones", "2,4,2", "backbone targets [2] are given more than once"),
-            (
-                "--clauses-per-bucket",
-                "2=40,6=50",
-                "clause counts are given for targets [6], which are not among "
-                "the backbone targets [2, 4]",
-            ),
             ("--per-bucket", "0", "no instances to generate: targets [2, 4], per_bucket 0"),
         ],
-        ids=["repeated-target", "stray-clause-count", "no-instances"],
+        ids=["repeated-target", "no-instances"],
     )
     def test_bad_suite_request_is_refused(self, tmp_path, capsys, option, value, message):
         suite = tmp_path / "suite"
@@ -660,8 +645,8 @@ class TestGenAndExperiment:
         [
             (["--backbones", "2,11"], "backbone target 11 must be in 0..10"),
             (
-                ["--backbones", "2,6", "--clauses-per-bucket", "6=0"],
-                "backbone target 6: num_clauses must be >= 1, not 0",
+                ["--backbones", "2,6", "--ratio", "0"],
+                "backbone target 2: num_clauses must be >= 1, not 0",
             ),
         ],
         ids=["target-above-vars", "no-clauses"],

@@ -299,6 +299,20 @@ def test_budget_is_enforced_at_any_depth(budget, message):
         count_with_marginals(chain(1201), budget)
 
 
+def test_time_budget_holds_from_the_first_node():
+    # one component step: the clock must be read before a 256th node
+    f = CnfFormula.from_clause_lists(2, [[1, 2]])
+    assert count_models(f) == 3
+    with pytest.raises(BudgetExceeded, match="time budget 0s exceeded"):
+        count_models(f, CountBudget(max_seconds=0))
+
+
+def test_nan_time_budget_is_refused():
+    # a NaN deadline would never pass, leaving the count unlimited
+    with pytest.raises(ValueError, match="time budget must be a number, not nan"):
+        CountBudget(max_seconds=float("nan"))
+
+
 # ------------------------------------------------- golden counter search
 
 GOLDEN_SEARCH_PATH = Path(__file__).with_name("golden_counter_search.json")

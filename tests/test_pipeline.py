@@ -565,46 +565,6 @@ class TestEmitReport:
         assert (tmp_path / "hardness_table.csv").exists()
 
 
-class TestSolverDefaultsFile:
-    def test_parse_and_apply(self, tmp_path):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text(
-            "# shared solver settings\n"
-            "\n"
-            "restart = glucose:40:0.7\n"
-            "keep = size:9\n"
-            "decay = 0.8\n"
-            "reduce_interval = 500\n"
-        )
-        overrides = pipeline.load_solver_defaults(cfg)
-        assert overrides["restart"].window == 40
-        assert overrides["restart"].margin == 0.7
-        assert overrides["deletion"].size == 9
-        assert overrides["decay"] == 0.8
-        assert overrides["reduce_interval"] == 500
-
-        # the tested dimension keeps its paired values; the rest follow
-        plan = make_plan("decay", base_overrides=overrides)
-        assert plan.config_a.decay == 0.95
-        assert plan.config_b.decay == 0.6
-        assert plan.config_a.restart.window == 40
-        assert plan.config_a.deletion.size == 9
-
-        plan = make_plan("restarts", base_overrides=overrides)
-        assert plan.config_a.restart.base_interval == 100
-        assert plan.config_b.restart.window == 50
-        assert plan.config_a.decay == 0.8
-
-    def test_bad_lines_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("decay 0.9\n")
-        with pytest.raises(ValueError, match="bad.cfg:1"):
-            pipeline.load_solver_defaults(cfg)
-        cfg.write_text("colour = blue\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            pipeline.load_solver_defaults(cfg)
-
-
 class TestSpecParsers:
     @pytest.mark.parametrize(
         "parse,spec,policy",
