@@ -47,6 +47,10 @@ class BenchSpec:
             raise ValueError(f"backbone target {t} must be in 0..{n}")
         if m < 1:
             raise ValueError(f"backbone target {t}: num_clauses must be >= 1, not {m}")
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, not {self.max_attempts}"
+            )
 
 
 def sub_seed(*parts) -> int:

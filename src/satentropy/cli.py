@@ -15,7 +15,7 @@ from . import pipeline
 from .cnf import DimacsError, parse_dimacs
 from .counter import BudgetExceeded, CountBudget, count_models
 from .entropy import UnsatisfiableFormula, profile_formula
-from .solver import solve
+from .solver import CONFIG_KEYS, SolverConfig, config_fields, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,13 +64,13 @@ def _add_config_flags(p) -> None:
 
 def _config_flags(args) -> dict:
     """The config keys given as flags; SolverConfig has the rest's defaults."""
-    given = {key: getattr(args, key) for key in pipeline.CONFIG_KEYS}
+    given = {key: getattr(args, key) for key in CONFIG_KEYS}
     return {key: value for key, value in given.items() if value is not None}
 
 
 def _cmd_solve(args) -> int:
     formula = _read_formula(args.file)
-    config = pipeline.config_from_spec(
+    config = SolverConfig.from_spec(
         _config_flags(args), seed=args.seed, conflict_budget=args.conflict_budget
     )
     st = solve(formula, config)
@@ -109,7 +109,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.action == "run":
-        shared = pipeline.config_fields(_config_flags(args))
+        shared = config_fields(_config_flags(args))
         plan = pipeline.make_plan(
             args.plan, args.runs_per_formula, args.seed, base_overrides=shared
         )

@@ -5,7 +5,7 @@ profile_from_counts is the one derivation of a profile from its counts
 (variable count, model count and each variable's exact ratio):
 profile_formula builds through it, and FormulaProfile.from_dict rebuilds
 a stored profile from its counts and refuses one whose other fields
-differ from what they give.
+differ from what they give, or whose counts no formula has.
 backbone_size counts no models: it probes one incremental CDCL instance,
 one probe per candidate literal under the assumption that it is false,
 and can stop early once the size is known to lie above or below a
@@ -66,18 +66,22 @@ class FormulaProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "FormulaProfile":
         """The profile that a to_dict dict's vars, model_count and r_exact
-        values give; ValueError naming any other to_dict field that differs.
-        Other keys, such as an older sidecar's float 'r', are ignored."""
+        values give; ValueError naming any other to_dict field that differs,
+        or a count no formula has: a model_count outside 1..2^vars, or an
+        r_exact that does not give a whole number of models. Other keys,
+        such as an older sidecar's float 'r', are ignored."""
         ratios = []
         for p in d["per_var"]:
             r = Fraction(p["r_exact"]) if isinstance(p["r_exact"], str) else None
             if r is None or not 0 <= r <= 1:
                 raise ValueError(f"'r_exact' {p['r_exact']!r} is not a ratio in [0, 1]")
             ratios.append(r)
-        n = d["vars"]
+        n, model_count = d["vars"], int(d["model_count"])
         if len(ratios) != n:
             raise ValueError(f"'per_var' has {len(ratios)} entries, not 'vars' {n!r}")
-        profile = profile_from_counts(n, int(d["model_count"]), ratios)
+        if not 1 <= model_count <= 1 << n:
+            raise ValueError(f"'model_count' {model_count} is not in 1..2^{n}")
+        profile = profile_from_counts(n, model_count, ratios)
         want = profile.to_dict()
         fields = [
             (repr(k), d[k], want[k]) for k in ("entropy", "density", "backbone_count")
@@ -87,6 +91,12 @@ class FormulaProfile:
         for name, stored, given in fields:
             if stored != given:
                 raise ValueError(f"{name} is {stored!r}, but its counts give {given!r}")
+        for i, r in enumerate(ratios):
+            if (r * model_count).denominator != 1:
+                raise ValueError(
+                    f"per_var[{i}] 'r_exact' {d['per_var'][i]['r_exact']!r} of "
+                    f"'model_count' {model_count} is not a whole number of models"
+                )
         return profile
 
 

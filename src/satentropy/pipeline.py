@@ -71,75 +71,6 @@ CACHE_DIR_ENV = "SATENTROPY_CACHE_DIR"
 MEASURES = (("entropy", "Entropy"), ("density", "Density"))
 
 
-def parse_restart(spec: str):
-    """Restart policy from luby:N or glucose:W:M; ValueError otherwise. An
-    omitted field takes the policy's default."""
-    kind, _, rest = spec.partition(":")
-    if kind == "luby":
-        return LubyRestarts(int(rest)) if rest else LubyRestarts()
-    if kind == "glucose":
-        parts = rest.split(":") if rest else []
-        if len(parts) > 2:
-            raise ValueError(
-                f"restart policy {spec!r} has {len(parts)} fields after "
-                "'glucose:'; use glucose:W:M"
-            )
-        given = {}
-        if parts and parts[0]:
-            given["window"] = int(parts[0])
-        if len(parts) > 1:
-            given["margin"] = float(parts[1])
-        return GlucoseRestarts(**given)
-    raise ValueError(f"unknown restart policy {spec!r} (use luby:N or glucose:W:M)")
-
-
-def parse_keep(spec: str):
-    """Deletion criterion from lbd:N or size:N; ValueError otherwise."""
-    kind, _, rest = spec.partition(":")
-    if kind == "lbd":
-        return KeepLbdCutAtMost(int(rest)) if rest else KeepLbdCutAtMost()
-    if kind == "size":
-        return KeepSizeAtMost(int(rest)) if rest else KeepSizeAtMost()
-    raise ValueError(f"unknown deletion criterion {spec!r} (use lbd:N or size:N)")
-
-
-def _restart_spec(policy) -> str:
-    """The parse_restart spec of a restart policy. Unlike label(), whose
-    glucose margin is :g-formatted, it gives the policy back exactly."""
-    if isinstance(policy, GlucoseRestarts):
-        return f"glucose:{policy.window}:{policy.margin!r}"
-    return policy.label()
-
-
-# config key -> (SolverConfig field, parser); the configs in run.json and
-# the flags of solve and experiment run share these keys
-CONFIG_KEYS = {
-    "restart": ("restart", parse_restart),
-    "keep": ("deletion", parse_keep),
-    "decay": ("decay", float),
-    "reduce_interval": ("reduce_interval", int),
-}
-
-
-def config_fields(spec: dict) -> dict:
-    """The SolverConfig fields that spec's config keys set, parsed;
-    ValueError on an unknown key or a bad value."""
-    fields = {}
-    for key, value in spec.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r}")
-        field, parse = CONFIG_KEYS[key]
-        fields[field] = parse(value)
-    return fields
-
-
-def config_from_spec(spec: dict, **fields) -> SolverConfig:
-    """The SolverConfig that spec's config keys (and any other SolverConfig
-    fields given by name) set; SolverConfig's defaults fill the rest.
-    ValueError on an unknown key or a bad value."""
-    return SolverConfig(**config_fields(spec), **fields)
-
-
 # plan -> (SolverConfig field under test, value in config A, value in B)
 PAIRED_PLANS = {
     "deletion": ("deletion", KeepLbdCutAtMost(5), KeepSizeAtMost(12)),
@@ -168,9 +99,9 @@ def make_plan(
     actually fires; on small instances set a reduce_interval well below
     the typical conflict count.
 
-    base_overrides (SolverConfig fields, e.g. from config_fields) adjusts
-    the shared dimensions; the dimension under test always keeps its
-    paired values.
+    base_overrides (SolverConfig fields, e.g. from solver.config_fields)
+    adjusts the shared dimensions; the dimension under test always keeps
+    its paired values.
     """
     if name not in PLAN_NAMES:
         raise ValueError(f"unknown plan {name!r}")
@@ -356,22 +287,11 @@ RUN_FILE = "run.json"
 _RUN_IDENTITY = ("plan", "config_a", "config_b", "seed", "runs_per_formula", "suite")
 
 
-def _config_spec(config: SolverConfig) -> dict:
-    """A plan config under the config keys; the per-run seed is not part of
-    it."""
-    return {
-        "restart": _restart_spec(config.restart),
-        "keep": config.deletion.label(),
-        "decay": config.decay,
-        "reduce_interval": config.reduce_interval,
-    }
-
-
 def _run_spec(plan: ExperimentPlan, k: int, suite: str | None) -> dict:
     return {
         "plan": plan.name,
-        "config_a": _config_spec(plan.config_a),
-        "config_b": _config_spec(plan.config_b) if plan.config_b else None,
+        "config_a": plan.config_a.spec(),
+        "config_b": plan.config_b.spec() if plan.config_b else None,
         "seed": plan.seed,
         "runs_per_formula": plan.runs_per_formula,
         "suite": suite,
@@ -397,8 +317,8 @@ def load_run(out_dir: str | Path) -> tuple[ExperimentPlan, int]:
         config_b = spec["config_b"]
         plan = ExperimentPlan(
             spec["plan"],
-            config_from_spec(spec["config_a"]),
-            config_from_spec(config_b) if config_b is not None else None,
+            SolverConfig.from_spec(spec["config_a"]),
+            SolverConfig.from_spec(config_b) if config_b is not None else None,
             spec["runs_per_formula"],
             spec["seed"],
         )

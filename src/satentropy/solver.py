@@ -30,82 +30,110 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .cnf import CnfFormula
 
 
 # ---------------------------------------------------------------- configs
 
-@dataclass(frozen=True)
-class LubyRestarts:
-    """Restart after luby(i) * base_interval conflicts, i = 1, 2, ..."""
-
-    base_interval: int = 100
+class _Policy:
+    """A heuristic setting, written KIND:v1:v2:... with one value per
+    dataclass field in field order; each int field is at least 1. A family's
+    parse reads any of its kinds; an omitted or empty value takes its
+    field's default."""
 
     def __post_init__(self):
-        if self.base_interval < 1:
-            raise ValueError("base_interval must be >= 1")
+        for f in fields(self):
+            if isinstance(f.default, int) and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
+
+    def _text(self, show_float) -> str:
+        text = [self.KIND]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            text.append(show_float(value) if isinstance(f.default, float) else str(value))
+        return ":".join(text)
 
     def label(self) -> str:
-        return f"luby:{self.base_interval}"
+        """The text, with each float to 6 significant digits."""
+        return self._text(lambda x: f"{x:g}")
+
+    def spec(self) -> str:
+        """The text that parse reads back to this policy exactly."""
+        return self._text(repr)
+
+    @classmethod
+    def parse(cls, spec: str):
+        """The policy of this family that spec writes; ValueError otherwise."""
+        kinds = {k.KIND: k for k in cls.__subclasses__()}
+        kind, *values = spec.split(":")
+        if kind not in kinds:
+            usage = " or ".join(k.USAGE for k in kinds.values())
+            raise ValueError(f"unknown {cls.NOUN} {spec!r} (use {usage})")
+        policy = kinds[kind]
+        slots = fields(policy)
+        if len(values) > len(slots):
+            raise ValueError(
+                f"{cls.NOUN} {spec!r} has {len(values)} fields after "
+                f"'{kind}:'; use {policy.USAGE}"
+            )
+        given = {f.name: type(f.default)(v) for f, v in zip(slots, values) if v}
+        return policy(**given)
+
+
+class RestartPolicy(_Policy):
+    NOUN = "restart policy"
+
+
+class DeletionPolicy(_Policy):
+    NOUN = "deletion criterion"
 
 
 @dataclass(frozen=True)
-class GlucoseRestarts:
+class LubyRestarts(RestartPolicy):
+    """Restart after luby(i) * base_interval conflicts, i = 1, 2, ..."""
+
+    KIND, USAGE = "luby", "luby:N"
+    base_interval: int = 100
+
+
+@dataclass(frozen=True)
+class GlucoseRestarts(RestartPolicy):
     """Restart when recent learned-clause LBD exceeds the long-run average."""
 
+    KIND, USAGE = "glucose", "glucose:W:M"
     window: int = 50
     margin: float = 0.8
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        super().__post_init__()
         # a NaN margin would compare false and silently never restart
         if not 0.0 < self.margin < float("inf"):
             raise ValueError(f"margin must be positive and finite, not {self.margin}")
 
-    def label(self) -> str:
-        return f"glucose:{self.window}:{self.margin:g}"
-
 
 @dataclass(frozen=True)
-class KeepLbdCutAtMost:
+class KeepLbdCutAtMost(DeletionPolicy):
     """Never delete learned clauses whose LBD-cut is at most `cut`."""
 
+    KIND, USAGE = "lbd", "lbd:N"
     cut: int = 5
-
-    def __post_init__(self):
-        if self.cut < 1:
-            raise ValueError("cut must be >= 1")
 
     def keeps(self, clause: "LearnedClauseMeta") -> bool:
         return clause.lbd_cut <= self.cut
 
-    def label(self) -> str:
-        return f"lbd:{self.cut}"
-
 
 @dataclass(frozen=True)
-class KeepSizeAtMost:
+class KeepSizeAtMost(DeletionPolicy):
     """Never delete learned clauses of at most `size` literals."""
 
+    KIND, USAGE = "size", "size:N"
     size: int = 12
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
 
     def keeps(self, clause: "LearnedClauseMeta") -> bool:
         return clause.size <= self.size
-
-    def label(self) -> str:
-        return f"size:{self.size}"
-
-
-RestartPolicy = Union[LubyRestarts, GlucoseRestarts]
-DeletionPolicy = Union[KeepLbdCutAtMost, KeepSizeAtMost]
 
 
 @dataclass(frozen=True)
@@ -124,11 +152,52 @@ class SolverConfig:
             raise ValueError(
                 f"reduce_interval must be at least 1, not {self.reduce_interval}"
             )
+        if self.conflict_budget is not None and self.conflict_budget < 1:
+            raise ValueError(
+                f"conflict_budget must be at least 1, not {self.conflict_budget}"
+            )
 
     def label(self) -> str:
         return (
             f"{self.restart.label()}|{self.deletion.label()}|decay:{self.decay:g}"
         )
+
+    def spec(self) -> dict:
+        """The config keys' values, which from_spec reads back exactly."""
+        return {
+            "restart": self.restart.spec(),
+            "keep": self.deletion.spec(),
+            "decay": self.decay,
+            "reduce_interval": self.reduce_interval,
+        }
+
+    @classmethod
+    def from_spec(cls, spec: dict, **given) -> "SolverConfig":
+        """The config that spec's config keys and the given fields set;
+        ValueError on an unknown key or a bad value."""
+        return cls(**config_fields(spec), **given)
+
+
+# config key -> (SolverConfig field, parser); the configs in run.json and
+# the flags of solve and experiment run share these keys
+CONFIG_KEYS = {
+    "restart": ("restart", RestartPolicy.parse),
+    "keep": ("deletion", DeletionPolicy.parse),
+    "decay": ("decay", float),
+    "reduce_interval": ("reduce_interval", int),
+}
+
+
+def config_fields(spec: dict) -> dict:
+    """The SolverConfig fields that spec's config keys set, parsed;
+    ValueError on an unknown key or a bad value."""
+    given = {}
+    for key, value in spec.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        field, parse = CONFIG_KEYS[key]
+        given[field] = parse(value)
+    return given
 
 
 @dataclass

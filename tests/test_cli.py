@@ -15,7 +15,7 @@ from satentropy.cli import (
     main,
 )
 from satentropy.cnf import CnfFormula, content_hash, parse_dimacs, write_dimacs
-from satentropy.solver import solve
+from satentropy.solver import SolverConfig, solve
 from conftest import chain
 
 
@@ -158,10 +158,16 @@ class TestSolve:
         path = tmp_path / "f.cnf"
         path.write_text(write_dimacs(formula))
         main(["solve", str(path), *flags])
-        st = solve(formula, pipeline.config_from_spec(config_a, seed=0))
+        st = solve(formula, SolverConfig.from_spec(config_a, seed=0))
         assert st.conflicts > 50
         out = capsys.readouterr().out
         assert out.splitlines()[0] == json.dumps(st.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_conflict_budget_below_one_is_refused(self, sat_file, capsys, value):
+        assert main(["solve", sat_file, "--conflict-budget", value]) == EXIT_ERROR
+        message = f"error: conflict_budget must be at least 1, not {value}\n"
+        assert capsys.readouterr() == ("", message)
 
 
     @pytest.mark.parametrize("value", ["0", "-5"])
@@ -648,8 +654,16 @@ class TestGenAndExperiment:
                 ["--backbones", "2,6", "--ratio", "0"],
                 "backbone target 2: num_clauses must be >= 1, not 0",
             ),
+            (
+                ["--backbones", "2,6", "--max-attempts", "0"],
+                "max_attempts must be at least 1, not 0",
+            ),
+            (
+                ["--backbones", "2,6", "--max-attempts", "-5"],
+                "max_attempts must be at least 1, not -5",
+            ),
         ],
-        ids=["target-above-vars", "no-clauses"],
+        ids=["target-above-vars", "no-clauses", "no-attempts", "negative-attempts"],
     )
     def test_bad_bucket_writes_nothing(self, tmp_path, capsys, extra, message):
         # the good bucket comes first, and is not drawn either

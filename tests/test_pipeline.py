@@ -16,12 +16,14 @@ from satentropy import pipeline, stats
 from satentropy.benchgen import sub_seed
 from satentropy.cli import main
 from satentropy.cnf import CnfFormula, parse_dimacs
-from satentropy.entropy import profile_formula
+from satentropy.entropy import profile_formula, profile_from_counts
 from satentropy.solver import (
+    DeletionPolicy,
     GlucoseRestarts,
     KeepLbdCutAtMost,
     KeepSizeAtMost,
     LubyRestarts,
+    RestartPolicy,
     SolverConfig,
 )
 from satentropy.pipeline import (
@@ -140,7 +142,7 @@ class TestMakePlan:
     }
 
     def test_every_plan_labels_and_tested_field(self):
-        overrides = {"restart": pipeline.parse_restart("glucose:50:0.8"), "decay": 0.8}
+        overrides = {"restart": RestartPolicy.parse("glucose:50:0.8"), "decay": 0.8}
         for name, (field, a, b, over_a, over_b) in self.LABELS.items():
             for base, want in ((None, (a, b)), (overrides, (over_a, over_b))):
                 plan = make_plan(name, base_overrides=base)
@@ -385,7 +387,7 @@ SUITE = hashlib.sha256(b"manifest").hexdigest()
 
 class TestRunFile:
     OVERRIDES = {
-        "restart": pipeline.parse_restart("glucose:50:0.8123457"),
+        "restart": RestartPolicy.parse("glucose:50:0.8123457"),
         "decay": 0.9876543,
         "reduce_interval": 300,
     }
@@ -569,12 +571,12 @@ class TestSpecParsers:
     @pytest.mark.parametrize(
         "parse,spec,policy",
         [
-            (pipeline.parse_restart, "luby", LubyRestarts(100)),
-            (pipeline.parse_restart, "glucose", GlucoseRestarts(50, 0.8)),
-            (pipeline.parse_restart, "glucose:40", GlucoseRestarts(40, 0.8)),
-            (pipeline.parse_restart, "glucose::0.7", GlucoseRestarts(50, 0.7)),
-            (pipeline.parse_keep, "lbd", KeepLbdCutAtMost(5)),
-            (pipeline.parse_keep, "size", KeepSizeAtMost(12)),
+            (RestartPolicy.parse, "luby", LubyRestarts(100)),
+            (RestartPolicy.parse, "glucose", GlucoseRestarts(50, 0.8)),
+            (RestartPolicy.parse, "glucose:40", GlucoseRestarts(40, 0.8)),
+            (RestartPolicy.parse, "glucose::0.7", GlucoseRestarts(50, 0.7)),
+            (DeletionPolicy.parse, "lbd", KeepLbdCutAtMost(5)),
+            (DeletionPolicy.parse, "size", KeepSizeAtMost(12)),
         ],
         ids=["luby", "glucose", "glucose:40", "glucose::0.7", "lbd", "size"],
     )
@@ -647,6 +649,29 @@ class TestProfileSidecarCheck:
         )
         with pytest.raises(ValueError, match=message):
             pipeline.ensure_profile(suite, "f1", formula)
+
+    @pytest.mark.parametrize(
+        "model_count, r, message",
+        [
+            (0, 1, "'model_count' 0 is not in 1..2^3"),
+            (-5, 1, "'model_count' -5 is not in 1..2^3"),
+            (100, 1, "'model_count' 100 is not in 1..2^3"),
+            (3, Fraction(1, 2), "per_var[0] 'r_exact' '1/2' of 'model_count' 3 is "
+             "not a whole number of models"),
+        ],
+        ids=["no-models", "negative-models", "too-many-models", "half-a-model"],
+    )
+    def test_counts_no_formula_has_are_refused(
+        self, tmp_path, monkeypatch, model_count, r, message
+    ):
+        # every derived field agrees with these counts; the counts are impossible
+        monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+        formula = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
+        profile = profile_from_counts(3, model_count, [r] * 3)
+        pipeline.write_profile(tmp_path / "profiles" / "f1.json", profile)
+        with pytest.raises(ValueError) as raised:
+            pipeline.ensure_profile(tmp_path, "f1", formula)
+        assert f"cannot be read ({message});" in str(raised.value)
 
     def test_a_sidecar_of_another_variable_count_is_refused(self, sidecar):
         suite, formula, _, path = sidecar

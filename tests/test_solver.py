@@ -6,12 +6,15 @@ import pytest
 
 from satentropy.cnf import CnfFormula, content_hash, evaluate
 from satentropy.counter import count_models, count_models_bruteforce
+from satentropy.pipeline import PAIRED_PLANS
 from satentropy.solver import (
+    DeletionPolicy,
     GlucoseRestarts,
     KeepLbdCutAtMost,
     KeepSizeAtMost,
     LearnedClauseMeta,
     LubyRestarts,
+    RestartPolicy,
     SolverConfig,
     glucose_restart_due,
     luby,
@@ -168,6 +171,58 @@ class TestReduceDatabase:
             deleted += st.learned_deleted
         assert deleted > 0 and protected
         assert failures == []
+
+
+class TestPolicyText:
+    # (policy, its label); the defaults, every PAIRED_PLANS policy, and a
+    # margin that the label rounds
+    LABELS = [
+        (LubyRestarts(), "luby:100"),
+        (GlucoseRestarts(), "glucose:50:0.8"),
+        (KeepLbdCutAtMost(), "lbd:5"),
+        (KeepSizeAtMost(), "size:12"),
+        (KeepLbdCutAtMost(1), "lbd:1"),
+        (GlucoseRestarts(50, 0.8123457), "glucose:50:0.812346"),
+    ]
+
+    def test_every_paired_plan_policy_is_covered(self):
+        planned = {v for _, a, b in PAIRED_PLANS.values() for v in (a, b)}
+        policies = {v for v in planned if not isinstance(v, float)}
+        assert policies and policies <= {policy for policy, _ in self.LABELS}
+
+    @pytest.mark.parametrize("policy, label", LABELS, ids=[l for _, l in LABELS])
+    def test_spec_parses_back_and_label_is_unchanged(self, policy, label):
+        family = RestartPolicy if isinstance(policy, RestartPolicy) else DeletionPolicy
+        assert family.parse(policy.spec()) == policy
+        assert policy.label() == label
+
+    @pytest.mark.parametrize(
+        "family, spec, message",
+        [
+            (RestartPolicy, "luby:100:5", "restart policy 'luby:100:5' has 2 fields "
+             "after 'luby:'; use luby:N"),
+            (DeletionPolicy, "lbd:5:3", "deletion criterion 'lbd:5:3' has 2 fields "
+             "after 'lbd:'; use lbd:N"),
+            (DeletionPolicy, "size:12:1", "deletion criterion 'size:12:1' has 2 "
+             "fields after 'size:'; use size:N"),
+        ],
+        ids=["luby", "lbd", "size"],
+    )
+    def test_a_value_too_many_is_refused(self, family, spec, message):
+        with pytest.raises(ValueError) as raised:
+            family.parse(spec)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "spec, policy",
+        [
+            ("glucose:40:", GlucoseRestarts(40, 0.8)),
+            ("glucose::", GlucoseRestarts(50, 0.8)),
+            ("luby:", LubyRestarts(100)),
+        ],
+    )
+    def test_an_empty_value_takes_its_default(self, spec, policy):
+        assert RestartPolicy.parse(spec) == policy
 
 
 class TestSolve:
