@@ -15,7 +15,9 @@ from . import pipeline
 from .cnf import DimacsError, parse_dimacs
 from .counter import BudgetExceeded, CountBudget, count_models
 from .entropy import UnsatisfiableFormula, profile_formula
-from .solver import CONFIG_KEYS, SolverConfig, config_fields, solve
+from .solver import (
+    CONFIG_KEYS, DeletionPolicy, RestartPolicy, SolverConfig, config_fields, solve
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,9 +38,7 @@ def _read_formula(path: str):
 
 def _cmd_count(args) -> int:
     formula = _read_formula(args.file)
-    budget = CountBudget(
-        max_nodes=args.max_nodes, max_seconds=args.max_seconds
-    )
+    budget = CountBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     n = count_models(formula, budget)
     print(n)
     return EXIT_UNSAT if n == 0 else EXIT_OK
@@ -54,8 +54,8 @@ def _cmd_profile(args) -> int:
 
 def _add_config_flags(p) -> None:
     """The config keys as solve's and experiment run's flags."""
-    p.add_argument("--restart", help="luby:N or glucose:W:M")
-    p.add_argument("--keep", help="lbd:N or size:N")
+    p.add_argument("--restart", help=RestartPolicy.usage())
+    p.add_argument("--keep", help=DeletionPolicy.usage())
     p.add_argument("--decay", type=float)
     p.add_argument(
         "--reduce-interval", type=int, help="conflicts between database reductions"
@@ -74,12 +74,10 @@ def _cmd_solve(args) -> int:
         _config_flags(args), seed=args.seed, conflict_budget=args.conflict_budget
     )
     st = solve(formula, config)
-    print(json.dumps(st.to_dict(), sort_keys=True))
+    stats = st.to_dict()
+    print(json.dumps(stats, sort_keys=True))
     if st.result == "SAT":
-        lits = " ".join(
-            str(v if st.model[v] else -v) for v in sorted(st.model)
-        )
-        print(f"v {lits} 0")
+        print(f"v {' '.join(map(str, stats['model']))} 0")
         return EXIT_OK
     if st.result == "UNSAT":
         return EXIT_UNSAT

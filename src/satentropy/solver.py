@@ -38,16 +38,26 @@ from .cnf import CnfFormula
 
 # ---------------------------------------------------------------- configs
 
+# a policy field's (wording, test) by its default's type; NaN fails the float
+# test, since a NaN margin would compare false and silently never restart
+_ALLOWED = {
+    int: ("an integer of at least 1", lambda x: x >= 1),
+    float: ("a positive finite number", lambda x: 0.0 < x < float("inf")),
+}
+
+
 class _Policy:
     """A heuristic setting, written KIND:v1:v2:... with one value per
-    dataclass field in field order; each int field is at least 1. A family's
-    parse reads any of its kinds; an omitted or empty value takes its
-    field's default."""
+    dataclass field in field order, each named by its letter in USAGE. A
+    family's parse reads any of its kinds; an omitted or empty value takes
+    its field's default."""
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, int) and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1")
+            wording, allows = _ALLOWED[type(f.default)]
+            value = getattr(self, f.name)
+            if not allows(value):
+                raise ValueError(f"{f.name} must be {wording}, not {value}")
 
     def _text(self, show_float) -> str:
         text = [self.KIND]
@@ -65,13 +75,17 @@ class _Policy:
         return self._text(repr)
 
     @classmethod
+    def usage(cls) -> str:
+        """The family's grammar, as in `luby:N or glucose:W:M`."""
+        return " or ".join(k.USAGE for k in cls.__subclasses__())
+
+    @classmethod
     def parse(cls, spec: str):
         """The policy of this family that spec writes; ValueError otherwise."""
         kinds = {k.KIND: k for k in cls.__subclasses__()}
         kind, *values = spec.split(":")
         if kind not in kinds:
-            usage = " or ".join(k.USAGE for k in kinds.values())
-            raise ValueError(f"unknown {cls.NOUN} {spec!r} (use {usage})")
+            raise ValueError(f"unknown {cls.NOUN} {spec!r} (use {cls.usage()})")
         policy = kinds[kind]
         slots = fields(policy)
         if len(values) > len(slots):
@@ -79,7 +93,18 @@ class _Policy:
                 f"{cls.NOUN} {spec!r} has {len(values)} fields after "
                 f"'{kind}:'; use {policy.USAGE}"
             )
-        given = {f.name: type(f.default)(v) for f, v in zip(slots, values) if v}
+        given = {}
+        for f, letter, text in zip(slots, policy.USAGE.split(":")[1:], values):
+            wording, allows = _ALLOWED[type(f.default)]
+            try:
+                given[f.name] = value = type(f.default)(text or f.default)
+                if not allows(value):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"{cls.NOUN} {spec!r}: {letter} must be {wording}, not {text}; "
+                    f"use {policy.USAGE}"
+                ) from None
         return policy(**given)
 
 
@@ -106,12 +131,6 @@ class GlucoseRestarts(RestartPolicy):
     KIND, USAGE = "glucose", "glucose:W:M"
     window: int = 50
     margin: float = 0.8
-
-    def __post_init__(self):
-        super().__post_init__()
-        # a NaN margin would compare false and silently never restart
-        if not 0.0 < self.margin < float("inf"):
-            raise ValueError(f"margin must be positive and finite, not {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -147,29 +166,19 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must be strictly between 0 and 1")
-        if self.reduce_interval < 1:
-            raise ValueError(
-                f"reduce_interval must be at least 1, not {self.reduce_interval}"
-            )
-        if self.conflict_budget is not None and self.conflict_budget < 1:
-            raise ValueError(
-                f"conflict_budget must be at least 1, not {self.conflict_budget}"
-            )
+            raise ValueError(f"decay must be strictly between 0 and 1, not {self.decay}")
+        for name in ("reduce_interval", "conflict_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
 
     def label(self) -> str:
-        return (
-            f"{self.restart.label()}|{self.deletion.label()}|decay:{self.decay:g}"
-        )
+        return f"{self.restart.label()}|{self.deletion.label()}|decay:{self.decay:g}"
 
     def spec(self) -> dict:
         """The config keys' values, which from_spec reads back exactly."""
-        return {
-            "restart": self.restart.spec(),
-            "keep": self.deletion.spec(),
-            "decay": self.decay,
-            "reduce_interval": self.reduce_interval,
-        }
+        values = {key: getattr(self, field) for key, (field, _) in CONFIG_KEYS.items()}
+        return {k: v.spec() if isinstance(v, _Policy) else v for k, v in values.items()}
 
     @classmethod
     def from_spec(cls, spec: dict, **given) -> "SolverConfig":
@@ -212,15 +221,7 @@ class SolveStats:
     learned_deleted: int
 
     def to_dict(self) -> dict:
-        d = {
-            "result": self.result,
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-            "learned_kept": self.learned_kept,
-            "learned_deleted": self.learned_deleted,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
         if self.model is not None:
             d["model"] = [v if self.model[v] else -v for v in sorted(self.model)]
         return d

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import satentropy
 from satentropy import pipeline
 from satentropy.benchgen import gen_random_3sat
 from satentropy.cli import (
@@ -189,10 +194,14 @@ class TestSolve:
                 "restart policy 'glucose:50:0.8:junk' has 3 fields after "
                 "'glucose:'; use glucose:W:M",
             ),
-            ("glucose:50:nan", "margin must be positive and finite, not nan"),
-            ("glucose:50:inf", "margin must be positive and finite, not inf"),
-            ("glucose:50:-3", "margin must be positive and finite, not -3.0"),
-            ("glucose:50:0", "margin must be positive and finite, not 0.0"),
+            ("glucose:50:nan", "restart policy 'glucose:50:nan': M must be a "
+             "positive finite number, not nan; use glucose:W:M"),
+            ("glucose:50:inf", "restart policy 'glucose:50:inf': M must be a "
+             "positive finite number, not inf; use glucose:W:M"),
+            ("glucose:50:-3", "restart policy 'glucose:50:-3': M must be a "
+             "positive finite number, not -3; use glucose:W:M"),
+            ("glucose:50:0", "restart policy 'glucose:50:0': M must be a "
+             "positive finite number, not 0; use glucose:W:M"),
         ],
         ids=["third-field", "nan-margin", "inf-margin", "negative-margin", "zero-margin"],
     )
@@ -206,6 +215,58 @@ class TestSolve:
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "res").exists()
+
+    # (flag, spec, its refusal): the spec as typed, the grammar letter of
+    # the bad value, the value as typed and the kind's usage
+    BAD_VALUES = [
+        ("--restart", "luby:0", "restart policy 'luby:0': N must be an integer "
+         "of at least 1, not 0; use luby:N"),
+        ("--keep", "lbd:0", "deletion criterion 'lbd:0': N must be an integer "
+         "of at least 1, not 0; use lbd:N"),
+        ("--keep", "size:-1", "deletion criterion 'size:-1': N must be an "
+         "integer of at least 1, not -1; use size:N"),
+        ("--restart", "glucose:0:0.8", "restart policy 'glucose:0:0.8': W must "
+         "be an integer of at least 1, not 0; use glucose:W:M"),
+        ("--restart", "luby:x", "restart policy 'luby:x': N must be an integer "
+         "of at least 1, not x; use luby:N"),
+        ("--restart", "glucose:0.5", "restart policy 'glucose:0.5': W must be an "
+         "integer of at least 1, not 0.5; use glucose:W:M"),
+        ("--restart", "glucose:50:abc", "restart policy 'glucose:50:abc': M must "
+         "be a positive finite number, not abc; use glucose:W:M"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag, spec, message", BAD_VALUES, ids=[spec for _, spec, _ in BAD_VALUES]
+    )
+    def test_a_bad_policy_value_names_what_was_typed(
+        self, sat_file, tmp_path, capsys, flag, spec, message
+    ):
+        assert main(["solve", sat_file, flag, spec]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        argv = ["experiment", "run", "--plan", "decay", "--suite", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "res"), flag, spec]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "0"])
+    def test_a_bad_decay_is_named(self, sat_file, tmp_path, capsys, value):
+        message = f"error: decay must be strictly between 0 and 1, not {float(value)}\n"
+        assert main(["solve", sat_file, "--decay", value]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", message)
+        # the decay plan's own values replace --decay; hardness keeps it
+        argv = ["experiment", "run", "--plan", "hardness", "--suite", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "res"), "--decay", value]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "res").exists()
+
+    def test_policy_help_is_the_grammar(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--restart RESTART luby:N or glucose:W:M" in help_text
+        assert "--keep KEEP lbd:N or size:N" in help_text
 
 
 class TestUsage:
@@ -882,3 +943,12 @@ def test_unexpected_exception_is_runtime_error(sat_file, capsys, monkeypatch):
     assert main(["solve", sat_file]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err == "error: unexpected ZeroDivisionError: division by zero\n"
+
+
+def test_the_package_binds_only_its_version():
+    # each public name lives in its module only, as in satentropy.solver.solve
+    code = "import satentropy as s; print([n for n in vars(s) if n[0] != '_'])"
+    env = {**os.environ, "PYTHONPATH": str(Path(satentropy.__file__).parents[1])}
+    argv = [sys.executable, "-c", code + "; print(s.__version__)"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, f"[]\n{satentropy.__version__}\n")

@@ -8,6 +8,7 @@ from satentropy.cnf import CnfFormula, content_hash, evaluate
 from satentropy.counter import count_models, count_models_bruteforce
 from satentropy.pipeline import PAIRED_PLANS
 from satentropy.solver import (
+    CONFIG_KEYS,
     DeletionPolicy,
     GlucoseRestarts,
     KeepLbdCutAtMost,
@@ -223,6 +224,46 @@ class TestPolicyText:
     )
     def test_an_empty_value_takes_its_default(self, spec, policy):
         assert RestartPolicy.parse(spec) == policy
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LubyRestarts(0),
+             "base_interval must be an integer of at least 1, not 0"),
+            (lambda: KeepSizeAtMost(-1),
+             "size must be an integer of at least 1, not -1"),
+            (lambda: GlucoseRestarts(50, float("nan")),
+             "margin must be a positive finite number, not nan"),
+        ],
+        ids=["luby", "size", "glucose"],
+    )
+    def test_a_directly_built_policy_names_its_field_and_value(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+class TestDictKeys:
+    STATS = ["result", "conflicts", "decisions", "propagations", "restarts",
+             "learned_kept", "learned_deleted"]
+
+    def test_solve_stats_keys_are_in_field_order_with_the_model_last(self):
+        sat = solve(random_3sat(1, 20, 3))
+        unsat = solve(CnfFormula.from_clause_lists(1, [[1], [-1]]))
+        budget = solve(random_3sat(5, 40, 6), SolverConfig(conflict_budget=1))
+        assert (sat.result, unsat.result, budget.result) == ("SAT", "UNSAT", "BUDGET")
+        assert list(sat.to_dict()) == self.STATS + ["model"]
+        assert list(unsat.to_dict()) == list(budget.to_dict()) == self.STATS
+
+    def test_config_spec_has_the_config_keys_and_reads_back(self):
+        configs = [
+            SolverConfig(**{field: value}, reduce_interval=300)
+            for field, a, b in PAIRED_PLANS.values()
+            for value in (a, b)
+        ]
+        for config in configs:
+            assert list(config.spec()) == list(CONFIG_KEYS)
+            assert SolverConfig.from_spec(config.spec()) == config
 
 
 class TestSolve:
