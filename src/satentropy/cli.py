@@ -56,10 +56,8 @@ def _add_config_flags(p) -> None:
     """The config keys as solve's and experiment run's flags."""
     p.add_argument("--restart", help=RestartPolicy.usage())
     p.add_argument("--keep", help=DeletionPolicy.usage())
-    p.add_argument("--decay", type=float)
-    p.add_argument(
-        "--reduce-interval", type=int, help="conflicts between database reductions"
-    )
+    p.add_argument("--decay")
+    p.add_argument("--reduce-interval", help="conflicts between database reductions")
 
 
 def _config_flags(args) -> dict:

@@ -19,11 +19,15 @@ Assignments and watches are literal-indexed, as in MiniSat (Een & Sorensson,
 "An extensible SAT-solver", SAT 2003): `value` and `watches` are flat lists
 of length 2n + 1 where literal l lives at index l, so -v lands in the upper
 half by Python's negative indexing and `value[lit]` is the literal's truth
-value. Propagation keeps its state in locals, backjumping cuts the trail at
-a level boundary in one slice, and the restart checks keep running totals.
-None of this is allowed to change the search: watch lists keep their order
-and their swap-with-last removal, and a golden corpus in the tests pins
-`SolveStats` for fixed (formula, config, seed) triples.
+value. Propagation keeps its state in locals and looks for a new watch in a
+k-literal clause at lits[2], then over the prebuilt `scan[k]` = range(3, k),
+a table that reaches the longest clause (a problem clause may repeat a
+literal). `analyze` bumps and decays VSIDS activity in locals, backjumping
+cuts the trail at a level boundary in one slice, and the restart checks
+keep running totals. None of this may change the search: watch lists keep
+their order and swap-with-last removal, clauses their literal order and
+VSIDS its float operations, and golden corpora in the tests pin `SolveStats`
+for fixed (formula, config, seed) triples and for each backbone probe.
 """
 
 from __future__ import annotations
@@ -187,25 +191,32 @@ class SolverConfig:
         return cls(**config_fields(spec), **given)
 
 
-# config key -> (SolverConfig field, parser); the configs in run.json and
-# the flags of solve and experiment run share these keys
+# config key -> (SolverConfig field, parser of its text); the configs in
+# run.json and the flags of solve and experiment run share these keys
 CONFIG_KEYS = {
     "restart": ("restart", RestartPolicy.parse),
     "keep": ("deletion", DeletionPolicy.parse),
     "decay": ("decay", float),
     "reduce_interval": ("reduce_interval", int),
 }
+_NUMBERS = {float: "a number", int: "an integer"}
 
 
 def config_fields(spec: dict) -> dict:
-    """The SolverConfig fields that spec's config keys set, parsed;
-    ValueError on an unknown key or a bad value."""
+    """The SolverConfig fields that spec's config keys set, parsed from
+    their text, so 1.5 is no integer; ValueError on an unknown key or a
+    bad value, naming the key and the value of a number."""
     given = {}
     for key, value in spec.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown key {key!r}")
         field, parse = CONFIG_KEYS[key]
-        given[field] = parse(value)
+        try:
+            given[field] = parse(str(value))
+        except ValueError:
+            if parse not in _NUMBERS:
+                raise
+            raise ValueError(f"{key} must be {_NUMBERS[parse]}, not {value!r}") from None
     return given
 
 
@@ -335,11 +346,8 @@ class _Solver:
         self.watches: list[list] = []
         self.learned: list[LearnedClauseMeta] = []
 
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        self.restart_count = 0
-        self.learned_deleted_total = 0
+        self.conflicts = self.decisions = self.propagations = 0
+        self.restart_count = self.learned_deleted_total = 0
 
         self.luby_limit = self.current_luby_limit()
         self.conflicts_since_restart = 0
@@ -362,11 +370,11 @@ class _Solver:
                 self.units.append(lits[0])
             else:
                 self.clauses.append(list(lits))
+        # scan[k]: where propagate looks for a new watch after lits[2]
+        longest = max(map(len, self.clause_lits), default=0)
+        self.scan = [range(3, k) for k in range(max(self.n, longest) + 1)]
 
     # ---- assignment plumbing
-
-    def current_level(self) -> int:
-        return len(self.trail_lim)
 
     def enqueue(self, lit: int, reason=None) -> bool:
         val = self.value[lit]
@@ -374,9 +382,8 @@ class _Solver:
             return False
         if val == _UNASSIGNED:
             v = abs(lit)
-            self.value[lit] = 1
-            self.value[-lit] = 0
-            self.level[v] = self.current_level()
+            self.value[lit], self.value[-lit] = 1, 0
+            self.level[v] = len(self.trail_lim)
             self.reason[v] = reason
             self.trail.append(lit)
         return True
@@ -403,6 +410,7 @@ class _Solver:
         watches = self.watches
         level = self.level
         reason = self.reason
+        scan = self.scan
         cur_level = len(self.trail_lim)
         qhead = self.qhead
         start = qhead
@@ -420,17 +428,26 @@ class _Solver:
                 first = lits[0]
                 if first == falsified:
                     first = lits[1]
-                    lits[0] = first
-                    lits[1] = falsified
+                    lits[0], lits[1] = first, falsified
                 if value[first] == 1:
                     i += 1
                     continue
-                # look for a replacement watch
-                for j in range(2, len(lits)):
+                # look for a replacement watch, lits[2] first
+                try:
+                    other = lits[2]
+                except IndexError:  # binary: no literal to move to
+                    other = falsified
+                if value[other] != 0:
+                    lits[1], lits[2] = other, falsified
+                    watches[other].append(rec)
+                    end -= 1
+                    watchlist[i] = watchlist[end]
+                    watchlist.pop()
+                    continue
+                for j in scan[len(lits)]:
                     other = lits[j]
                     if value[other] != 0:
-                        lits[j] = lits[1]
-                        lits[1] = other
+                        lits[1], lits[j] = other, falsified
                         watches[other].append(rec)
                         end -= 1
                         watchlist[i] = watchlist[end]
@@ -454,17 +471,7 @@ class _Solver:
         self.qhead = qhead
         return conflict
 
-    # ---- VSIDS
-
-    def bump_var(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.n + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-
-    def decay_activities(self):
-        self.var_inc /= self.config.decay
+    # ---- branching
 
     def pick_branch_var(self) -> int | None:
         value = self.value
@@ -488,69 +495,85 @@ class _Solver:
     # ---- conflict analysis (first UIP)
 
     def analyze(self, conflict_rec) -> tuple[list[int], int, int]:
-        """Learn a first-UIP clause; returns (clause, backjump level, lbd)."""
+        """Learn a first-UIP clause; returns (clause, backjump level, lbd).
+        Also VSIDS: bump each variable resolved on, then decay."""
         level = self.level
         trail = self.trail
+        reason = self.reason
+        activity = self.activity
+        var_inc = self.var_inc
         learned: list[int] = [0]  # slot 0 for the asserting literal
         seen = [False] * (self.n + 1)
         counter = 0
         lits, meta = conflict_rec
         trail_idx = len(trail) - 1
         asserting = None
-        cur_level = self.current_level()
+        cur_level = len(self.trail_lim)
+        lower_levels = set()  # of the non-asserting literals
 
         while True:
             if meta is not None:
                 meta.activity += 1.0
-                lbd = len({level[abs(l)] for l in lits})
+                lbd = len({level[l if l > 0 else -l] for l in lits})
                 if lbd < meta.lbd_cut:
                     meta.lbd_cut = lbd
             for l in lits:
                 if l == asserting:
                     continue
-                v = abs(l)
-                if not seen[v] and level[v] > 0:
+                v = l if l > 0 else -l
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if lv > 0:
                     seen[v] = True
-                    self.bump_var(v)
-                    if level[v] == cur_level:
+                    a = activity[v] + var_inc
+                    activity[v] = a
+                    if a > 1e100:
+                        for u in range(1, self.n + 1):
+                            activity[u] *= 1e-100
+                        var_inc *= 1e-100
+                    if lv == cur_level:
                         counter += 1
                     else:
                         learned.append(l)
+                        lower_levels.add(lv)
             # walk back to the next marked trail literal
-            while not seen[abs(trail[trail_idx])]:
-                trail_idx -= 1
             p = trail[trail_idx]
+            while not seen[p if p > 0 else -p]:
+                trail_idx -= 1
+                p = trail[trail_idx]
             trail_idx -= 1
-            seen[abs(p)] = False
+            v = p if p > 0 else -p
+            seen[v] = False
             counter -= 1
             if counter == 0:
                 learned[0] = -p
                 break
-            lits, meta = self.reason[abs(p)]
+            lits, meta = reason[v]
             asserting = p
 
-        # backjump level: highest level among the non-asserting literals
-        if len(learned) == 1:
-            bj = 0
-        else:
-            bj = max(level[abs(l)] for l in learned[1:])
-        lbd = len({level[abs(l)] for l in learned})
-        return learned, bj, lbd
+        self.var_inc = var_inc / self.config.decay
+        # the asserting literal adds the current level to the lbd
+        return learned, max(lower_levels, default=0), len(lower_levels) + 1
 
     def backjump(self, target_level: int):
         # levels never decrease along the trail, so everything above
         # target_level starts at that level's trail_lim entry
-        if target_level < len(self.trail_lim):
-            cut = self.trail_lim[target_level]
+        trail = self.trail
+        trail_lim = self.trail_lim
+        if target_level < len(trail_lim):
+            cut = trail_lim[target_level]
             value = self.value
-            for lit in self.trail[cut:]:
-                v = abs(lit)
-                self.saved_phase[v] = lit > 0
+            saved_phase = self.saved_phase
+            reason = self.reason
+            for lit in trail[cut:]:
+                v = lit if lit > 0 else -lit
+                saved_phase[v] = lit > 0
                 value[lit] = value[-lit] = _UNASSIGNED
-                self.reason[v] = None
-            del self.trail[cut:]
-            del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+                reason[v] = None
+            del trail[cut:]
+            del trail_lim[target_level:]
+        self.qhead = len(trail)
 
     # ---- restarts
 
@@ -564,15 +587,12 @@ class _Solver:
         r = self.config.restart
         if isinstance(r, LubyRestarts):
             return self.conflicts_since_restart >= self.luby_limit
-        # glucose_restart_due on a running sum: an exact integer, so the
-        # window mean is the same float
+        # glucose_restart_due on running sums: exact integers, so the means
+        # are the same floats; every recent LBD is also counted in lbd_count
         recent = len(self.recent_lbds)
         if recent < r.window:
             return False
-        return (self.recent_lbd_sum / recent) * r.margin > self.global_lbd_mean()
-
-    def global_lbd_mean(self) -> float:
-        return self.lbd_sum / self.lbd_count if self.lbd_count else 0.0
+        return (self.recent_lbd_sum / recent) * r.margin > self.lbd_sum / self.lbd_count
 
     def record_lbd(self, lbd: int):
         self.lbd_sum += lbd
@@ -590,8 +610,7 @@ class _Solver:
         self.conflicts_since_restart = 0
         self.recent_lbds.clear()
         self.recent_lbd_sum = 0
-        if isinstance(self.config.restart, LubyRestarts):
-            self.luby_limit = self.current_luby_limit()
+        self.luby_limit = self.current_luby_limit()
 
     # ---- database reduction
 
@@ -648,7 +667,7 @@ class _Solver:
                 self.conflicts += 1
                 self.conflicts_since_restart += 1
                 self.conflicts_since_reduce += 1
-                if self.current_level() == 0:
+                if not self.trail_lim:
                     self.unsat = True
                     return self._stats("UNSAT", None)
                 learned, bj, lbd = self.analyze(conflict)
@@ -660,11 +679,8 @@ class _Solver:
                     meta = LearnedClauseMeta(lits=learned, lbd_cut=lbd, activity=1.0)
                     self.learned.append(meta)
                     self.enqueue(learned[0], self.watch(learned, meta))
-                self.decay_activities()
-                if (
-                    self.config.conflict_budget is not None
-                    and self.conflicts >= self.config.conflict_budget
-                ):
+                budget = self.config.conflict_budget
+                if budget is not None and self.conflicts >= budget:
                     return self._stats("BUDGET", None)
                 if self.conflicts_since_reduce >= self.config.reduce_interval:
                     self.conflicts_since_reduce = 0
@@ -700,14 +716,8 @@ class _Solver:
 
     def _stats(self, result: str, model) -> SolveStats:
         return SolveStats(
-            result=result,
-            model=model,
-            conflicts=self.conflicts,
-            decisions=self.decisions,
-            propagations=self.propagations,
-            restarts=self.restart_count,
-            learned_kept=len(self.learned),
-            learned_deleted=self.learned_deleted_total,
+            result, model, self.conflicts, self.decisions, self.propagations,
+            self.restart_count, len(self.learned), self.learned_deleted_total,
         )
 
 

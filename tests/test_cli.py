@@ -261,6 +261,28 @@ class TestSolve:
         assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--decay", "abc", "decay must be a number, not 'abc'"),
+            ("--reduce-interval", "1.5", "reduce_interval must be an integer, not '1.5'"),
+            ("--reduce-interval", "x", "reduce_interval must be an integer, not 'x'"),
+        ],
+        ids=["decay-abc", "reduce-interval-1.5", "reduce-interval-x"],
+    )
+    def test_number_text_is_refused_like_policy_text(
+        self, sat_file, tmp_path, capsys, flag, value, message
+    ):
+        # a runtime refusal (exit 2) naming the key and the text, as for a
+        # bad policy value, not an argparse usage error
+        assert main(["solve", sat_file, flag, value]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        argv = ["experiment", "run", "--plan", "hardness", "--suite", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "res"), flag, value]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "res").exists()
+
     def test_policy_help_is_the_grammar(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--help"])

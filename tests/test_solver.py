@@ -265,6 +265,20 @@ class TestDictKeys:
             assert list(config.spec()) == list(CONFIG_KEYS)
             assert SolverConfig.from_spec(config.spec()) == config
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"reduce_interval": 1.5}, "reduce_interval must be an integer, not 1.5"),
+            ({"reduce_interval": True}, "reduce_interval must be an integer, not True"),
+            ({"decay": "0.5x"}, "decay must be a number, not '0.5x'"),
+        ],
+    )
+    def test_a_number_is_read_from_its_text(self, spec, message):
+        # run.json's values take the flags' path: 1.5 is no integer
+        with pytest.raises(ValueError) as e:
+            SolverConfig.from_spec(spec)
+        assert str(e.value) == message
+
 
 class TestSolve:
     def test_trivial_unsat(self):
@@ -384,19 +398,76 @@ class TestSolve:
             KeepLbdCutAtMost(0)
 
 
+class _RecordingVsids(_Solver):
+    """Keeps (activities, var_inc, activities after, var_inc after, clause)
+    for each analyze call."""
+
+    def analyze(self, conflict_rec):
+        before, inc = list(self.activity), self.var_inc
+        learned, bj, lbd = super().analyze(conflict_rec)
+        self.steps.append((before, inc, list(self.activity), self.var_inc, learned))
+        return learned, bj, lbd
+
+
 class TestVsidsInvariance:
+    """analyze holds each conflict's VSIDS step: var_inc is added to the
+    activity of every variable resolved on, once, and var_inc then grows
+    by 1/decay, which rescales all activities alike; so variables left
+    untouched keep their order."""
+
     def test_decay_preserves_relative_order(self):
-        # exponential VSIDS: decaying by growing the increment rescales all
-        # activities uniformly, so untouched variables keep their order
-        f = random_3sat(2, 20, 4.26)
-        s = _Solver(f, SolverConfig(seed=1))
-        s.activity[3] = 5.0
-        s.activity[7] = 2.0
-        before = s.activity[3] > s.activity[7]
-        s.decay_activities()
-        s.bump_var(11)
-        after = s.activity[3] > s.activity[7]
-        assert before == after
+        s = _RecordingVsids(random_3sat(2, 40, 4.26), SolverConfig(seed=1, decay=0.8))
+        s.steps = []
+        s.solve()
+        assert len(s.steps) > 20
+        for before, inc, after, inc_after, learned in s.steps:
+            assert inc_after == inc / 0.8 < 1e100
+            bumped = {v for v in range(1, s.n + 1) if after[v] != before[v]}
+            assert {abs(l) for l in learned} <= bumped
+            for v in bumped:
+                assert after[v] == before[v] + inc
+
+    def test_rescale_keeps_the_order_of_untouched_variables(self):
+        s = _RecordingVsids(random_3sat(2, 20, 4.26), SolverConfig(seed=1))
+        s.steps = []
+        s.activity = [v * 1e90 for v in range(s.n + 1)]
+        s.var_inc = 2e100  # the first bump passes 1e100
+        s.solve()
+        before, inc, after, inc_after, _ = s.steps[0]
+        assert inc_after == 2e100 * 1e-100 / 0.95
+        assert max(after) < 1e100
+        untouched = [v for v in range(1, s.n + 1) if after[v] == before[v] * 1e-100]
+        assert len(untouched) > s.n // 2
+        assert [after[v] for v in untouched] == sorted(after[v] for v in untouched)
+
+
+class TestWatchInvariant:
+    def test_every_record_watches_its_first_two_literals(self):
+        # after each propagate, every live clause record sits once in the
+        # watch list of lits[0] and once in that of lits[1], and nowhere else
+        class Checking(_Solver):
+            checks = 0
+
+            def propagate(self):
+                conflict = super().propagate()
+                live = [m.lits for m in self.learned] + self.clauses
+                places = {id(lits): [] for lits in live}
+                size = len(self.watches)
+                for index, watchlist in enumerate(self.watches):
+                    lit = index if index <= self.n else index - size
+                    for lits, _ in watchlist:
+                        places[id(lits)].append(lit)
+                for lits in live:
+                    assert sorted(places[id(lits)]) == sorted(lits[:2])
+                Checking.checks += 1
+                return conflict
+
+        deleted = 0
+        for seed in range(6):
+            f = random_3sat(500 + seed, 60, 4.26)
+            st = Checking(f, SolverConfig(seed=seed, reduce_interval=10)).solve()
+            deleted += st.learned_deleted
+        assert deleted > 0 and Checking.checks > 100
 
 
 class TestValueLayout:
@@ -600,11 +671,78 @@ class TestGoldenStats:
             ), policy
 
 
+# ---------------------------------------------------- golden probe corpus
+
+PROBE_GOLDEN_PATH = Path(__file__).with_name("golden_probe_stats.json")
+
+# (n, ratio, formula seed, config): satisfiable 3-SAT, probed on one
+# instance; two configs reduce every 10 conflicts
+PROBE_CASES = [
+    (20, 4.26, 8000, SolverConfig()),
+    (30, 4.26, 8001, SolverConfig()),
+    (40, 4.0, 8000, SolverConfig(seed=3)),
+    (50, 4.0, 8000, SolverConfig(reduce_interval=10, seed=1)),
+    (60, 3.9, 8000, SolverConfig(reduce_interval=10, decay=0.6)),
+    (60, 4.2, 8000, SolverConfig(
+        restart=GlucoseRestarts(), deletion=KeepSizeAtMost(), reduce_interval=10,
+        seed=2,
+    )),
+]
+
+
+def golden_probe_cases():
+    """One record per formula: a solve, then a probe of each candidate in
+    `entropy.backbone_size`'s order, with the counts after each probe."""
+    for n, ratio, seed, cfg in PROBE_CASES:
+        f = random_3sat(seed, n, ratio)
+        s = _Solver(f, cfg)
+        candidates = s.solve().model
+        probes = []
+        for v in range(1, n + 1):
+            if v not in candidates:
+                continue
+            assume = -v if candidates[v] else v
+            model = s.probe(assume)
+            if model is not None:
+                candidates = {u: b for u, b in candidates.items() if model[u] == b}
+            stats = s._stats("SAT" if model else "UNSAT", model).to_dict()
+            del stats["result"]
+            # to_dict leaves out a None model
+            probes.append({"assume": assume, "model": None, **stats})
+        yield {
+            "formula": f"3sat-n{n}-r{ratio}-s{seed}",
+            "formula_hash": content_hash(f),
+            "config": _config_id(cfg),
+            "probes": probes,
+        }
+
+
+class TestGoldenProbes:
+    """The probe path is pinned like solve: each probe's model and the
+    solver's running counts after it."""
+
+    def test_probe_stats_match_golden_corpus(self):
+        golden = json.loads(PROBE_GOLDEN_PATH.read_text())
+        actual = list(golden_probe_cases())
+        assert len(actual) == len(golden)
+        for got, want in zip(actual, golden):
+            assert got == want, want["formula"]
+
+    def test_corpus_covers_the_probe_path(self):
+        golden = json.loads(PROBE_GOLDEN_PATH.read_text())
+        probes = [p for case in golden for p in case["probes"]]
+        assert {p["model"] is None for p in probes} == {True, False}
+        assert any(p["learned_deleted"] > 0 for p in probes)
+        assert any(p["restarts"] > 0 for p in probes)
+
+
 if __name__ == "__main__":
-    # Re-record the golden corpus (only after a deliberate change of the
+    # Re-record the golden corpora (only after a deliberate change of the
     # search): PYTHONPATH=src python tests/test_solver.py
-    cases = list(golden_cases())
-    GOLDEN_PATH.write_text(
-        "[\n" + ",\n".join(json.dumps(c, sort_keys=True) for c in cases) + "\n]\n"
-    )
-    print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")
+    corpora = ((GOLDEN_PATH, golden_cases), (PROBE_GOLDEN_PATH, golden_probe_cases))
+    for path, make in corpora:
+        cases = list(make())
+        path.write_text(
+            "[\n" + ",\n".join(json.dumps(c, sort_keys=True) for c in cases) + "\n]\n"
+        )
+        print(f"wrote {len(cases)} cases to {path}")
