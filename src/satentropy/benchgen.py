@@ -22,15 +22,19 @@ from .entropy import UnsatisfiableFormula, backbone_size
 
 class BackboneSearchExhausted(RuntimeError):
     """Rejection sampling failed; carries how many satisfiable draws had a
-    backbone smaller and how many larger than the target."""
+    backbone smaller and how many larger than the target. Its args are
+    its constructor's, so that it pickles across a process pool."""
 
     def __init__(self, spec: "BenchSpec", smaller: int, larger: int):
-        super().__init__(
-            f"no instance with backbone {spec.target_backbone} found in "
-            f"{spec.max_attempts} attempts ({smaller} satisfiable draws had a "
-            f"smaller backbone, {larger} a larger one)"
+        super().__init__(spec, smaller, larger)
+        self.spec, self.smaller, self.larger = spec, smaller, larger
+
+    def __str__(self) -> str:
+        return (
+            f"no instance with backbone {self.spec.target_backbone} found in "
+            f"{self.spec.max_attempts} attempts ({self.smaller} satisfiable draws "
+            f"had a smaller backbone, {self.larger} a larger one)"
         )
-        self.smaller, self.larger = smaller, larger
 
 
 @dataclass(frozen=True)

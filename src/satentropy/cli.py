@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -87,6 +88,14 @@ def int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (a taskset caps it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_gen(args) -> int:
     rows = pipeline.build_suite(
         targets=args.backbones,
@@ -97,6 +106,7 @@ def _cmd_gen(args) -> int:
         clause_ratio=args.ratio,
         max_attempts=args.max_attempts,
         tune_clauses=args.tune_clauses,
+        jobs=args.jobs,
     )
     print(f"wrote {len(rows)} instances to {args.out}", file=sys.stderr)
     print(str(Path(args.out) / "manifest.csv"))
@@ -165,6 +175,13 @@ def build_parser() -> _Parser:
         "--tune-clauses",
         action="store_true",
         help="pick a per-bucket clause count that makes the target common",
+    )
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=usable_cpus(),
+        help="processes that draw the bucket slots (default: the usable CPUs); "
+        "the suite is the same for every count",
     )
     p.set_defaults(func=_cmd_gen)
 

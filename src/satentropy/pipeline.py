@@ -203,6 +203,13 @@ def ensure_profile(
     return cached
 
 
+def _draw_slot(spec: BenchSpec) -> tuple[CnfFormula, int, FormulaProfile]:
+    """One bucket slot: its accepted draw, the attempts it took and its
+    profile. Module-level, so that a process pool can pickle it."""
+    formula, attempts = gen_with_backbone(spec)
+    return formula, attempts, profile_formula(formula)
+
+
 def build_suite(
     targets: list[int],
     per_bucket: int,
@@ -212,10 +219,17 @@ def build_suite(
     clause_ratio: float = 4.25,
     max_attempts: int = 100_000,
     tune_clauses: bool = False,
+    jobs: int = 1,
 ) -> list[dict]:
     """Generate per_bucket instances per backbone bucket, write DIMACS files
     and a manifest.csv, and return the manifest rows. Every file is written
     whole or not at all, and none before every instance is drawn.
+
+    Each bucket slot is drawn and profiled by _draw_slot, on a pool of jobs
+    processes when jobs > 1; the checks, rows and writes stay here, in slot
+    order, so the suite is the same for every jobs. A pool started from a
+    library call needs the caller's `if __name__ == "__main__"` guard on
+    platforms that spawn their workers.
 
     A bucket has round(num_vars * clause_ratio) clauses, or its
     tuned_clause_counts value under tune_clauses. Each accepted instance is
@@ -226,6 +240,8 @@ def build_suite(
     this suite alone.
     """
     out = Path(out_dir)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     if per_bucket < 1 or not targets:
         raise ValueError(
             f"no instances to generate: targets {targets}, per_bucket {per_bucket}"
@@ -248,11 +264,11 @@ def build_suite(
         for t in targets
         for i in range(per_bucket)
     ]
+    with _mapper(jobs, len(specs)) as map_fn:
+        drawn = list(map_fn(_draw_slot, specs))
     rows, instances = [], []
-    for index, spec in enumerate(specs):
+    for index, (spec, (formula, attempts, profile)) in enumerate(zip(specs, drawn)):
         target, i = spec.target_backbone, index % per_bucket
-        formula, attempts = gen_with_backbone(spec)
-        profile = profile_formula(formula)
         if profile.backbone_count != target:
             raise AssertionError(
                 f"accepted instance has backbone {profile.backbone_count}, "
@@ -409,14 +425,19 @@ def formula_record(
 
 @contextmanager
 def _mapper(jobs: int, items: int):
-    """map, or a process pool's order-keeping map when it has work for
-    more than one worker."""
+    """map, or an order-keeping map on a pool of at most min(jobs, items)
+    processes when that is more than one. Leaving the block, by an
+    exception too, cancels the work no worker has started and waits for
+    the workers to exit."""
     if jobs > 1 and items > 1:
-        # imported here, so that a run without --jobs never loads multiprocessing
+        # imported here, so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, items))
+        try:
             yield pool.map
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         yield map
 

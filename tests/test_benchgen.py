@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -104,6 +105,16 @@ class TestBackboneControl:
             in str(exc.value)
         )
 
+    def test_exhaustion_pickles_with_its_message_and_counts(self):
+        # a process pool sends a slot's exception back to the parent pickled
+        spec = BenchSpec(12, 52, target_backbone=3, seed=1, max_attempts=6)
+        with pytest.raises(BackboneSearchExhausted) as exc:
+            gen_with_backbone(spec)
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert type(copy) is BackboneSearchExhausted
+        assert str(copy) == str(exc.value)
+        assert (copy.smaller, copy.larger) == (1, 3)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BenchSpec(10, 30, target_backbone=11, seed=0)
@@ -141,19 +152,17 @@ def suite_digest(out, cols):
 
 
 class TestSuite:
+    REQUEST = dict(
+        targets=[2, 6, 10], per_bucket=4, num_vars=12, seed=99,
+        tune_clauses=True, max_attempts=20_000,
+    )
+    COLS = ("file", "seed", "backbone", "attempts", "model_count")
+
     @pytest.fixture(scope="class")
     @staticmethod
     def suite(tmp_path_factory):
         out = tmp_path_factory.mktemp("suite")
-        rows = build_suite(
-            targets=[2, 6, 10],
-            per_bucket=4,
-            num_vars=12,
-            seed=99,
-            out_dir=out,
-            tune_clauses=True,
-            max_attempts=20_000,
-        )
+        rows = build_suite(out_dir=out, **TestSuite.REQUEST)
         return out, rows
 
     def test_cardinality(self, suite):
@@ -190,8 +199,17 @@ class TestSuite:
 
     def test_unforced_suite_is_golden(self, suite):
         out, _ = suite
-        cols = ("file", "seed", "backbone", "attempts", "model_count")
-        assert suite_digest(out, cols) == UNFORCED_SUITE_SHA256
+        assert suite_digest(out, self.COLS) == UNFORCED_SUITE_SHA256
+
+    def test_a_pool_draws_the_same_suite(self, suite, tmp_path):
+        out, rows = suite
+        assert build_suite(out_dir=tmp_path, jobs=2, **self.REQUEST) == rows
+        assert suite_digest(tmp_path, self.COLS) == UNFORCED_SUITE_SHA256
+        files = [p.relative_to(out) for p in sorted(out.rglob("*")) if p.is_file()]
+        assert files == [p.relative_to(tmp_path) for p in sorted(tmp_path.rglob("*"))
+                         if p.is_file()]
+        for name in files:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
     def test_profiles_persisted(self, suite):
         out, rows = suite

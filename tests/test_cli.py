@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -720,8 +721,10 @@ class TestGenAndExperiment:
         [
             ("--backbones", "2,4,2", "backbone targets [2] are given more than once"),
             ("--per-bucket", "0", "no instances to generate: targets [2, 4], per_bucket 0"),
+            ("--jobs", "0", "jobs must be at least 1, not 0"),
+            ("--jobs", "-4", "jobs must be at least 1, not -4"),
         ],
-        ids=["repeated-target", "no-instances"],
+        ids=["repeated-target", "no-instances", "no-jobs", "negative-jobs"],
     )
     def test_bad_suite_request_is_refused(self, tmp_path, capsys, option, value, message):
         suite = tmp_path / "suite"
@@ -771,6 +774,36 @@ class TestGenAndExperiment:
         )
         assert not suite.exists()
         assert main(argv + ["--backbones", "2"]) == EXIT_OK
+
+    def test_an_exhausted_pool_stops_and_writes_nothing(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        argv = ["gen", "--vars", "10", "--per-bucket", "1", "--seed", "3", "--jobs", "2"]
+        argv += ["--out", str(suite), "--backbones", "2,9", "--max-attempts", "40"]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: no instance with backbone 9 found in 40 attempts "
+            "(24 satisfiable draws had a smaller backbone, 5 a larger one)\n"
+        )
+        assert multiprocessing.active_children() == []
+        assert not suite.exists()
+
+    @pytest.mark.parametrize(
+        "request_args",
+        [
+            ["--vars", "20", "--backbones", "2,6,10,14,18", "--per-bucket", "3"],
+            ["--vars", "40", "--backbones", "4,20", "--per-bucket", "2"],
+        ],
+        ids=["n20", "n40"],
+    )
+    def test_a_pool_writes_the_serial_suite(self, tmp_path, capsys, request_args):
+        argv = ["gen", *request_args, "--seed", "11", "--tune-clauses"]
+        trees = []
+        for jobs in ("2", "1"):
+            suite = tmp_path / f"suite{jobs}"
+            assert main(argv + ["--out", str(suite), "--jobs", jobs]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            trees.append(_tree(suite))
+        assert trees[0] == trees[1]
 
     def test_gen_into_a_non_empty_directory_is_refused(
         self, tmp_path, capsys, monkeypatch

@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import pathlib
 import random
 import re
 import shutil
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +382,26 @@ class TestFormulaRecord:
         assert message.startswith(head) and message.endswith(tail)
         named = ast.literal_eval(message[len(head) : -len(tail)])
         assert named == {label: set(v) for label, v in zip(labels, results)}
+
+
+def _mark_slot(path):
+    """Run one slot: wait, then leave its mark."""
+    time.sleep(0.2)
+    path.touch()
+    return path
+
+
+class TestMapper:
+    def test_a_failing_block_cancels_the_slots_no_worker_started(self, tmp_path):
+        # experiment run writes each record inside the block; when a write
+        # fails, the slots no worker has started are dropped, not run
+        paths = [tmp_path / f"slot{i}" for i in range(20)]
+        with pytest.raises(OSError, match="disk full"):
+            with pipeline._mapper(2, len(paths)) as map_fn:
+                for _ in map_fn(_mark_slot, paths):
+                    raise OSError("disk full")
+        assert multiprocessing.active_children() == []
+        assert 1 <= sum(p.exists() for p in paths) < len(paths)
 
 
 SUITE = hashlib.sha256(b"manifest").hexdigest()
