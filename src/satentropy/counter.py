@@ -172,7 +172,7 @@ def _count(res: dict, variables: set, lits, run: _Run):
             # occurrence product, a binary clause weighing 5; ties to the lowest variable
             occ = Counter(chain.from_iterable(comp.values()))
             occ.update(chain.from_iterable([cl for cl in comp.values() if len(cl) == 2] * 4))
-            v = -max([((occ[u] + 1) * (occ[-u] + 1), -u) for u in cvars])[1]
+            v = -max([((occ.get(u, 0) + 1) * (occ.get(-u, 0) + 1), -u) for u in cvars])[1]
             count, marg = yield comp, cvars, (v,)
             neg_count, neg_marg = yield comp, cvars, (-v,)
             if marg:

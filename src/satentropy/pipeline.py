@@ -372,7 +372,9 @@ def _claim_run(out: Path, plan: ExperimentPlan, k: int, suite: str) -> None:
 
 def _solve_formula(args) -> tuple[FormulaProfile, list[dict]]:
     """Worker: from one parse, one formula's cached or fresh profile and its
-    solve records, one per (config, run) of the plan in plan.configs order."""
+    solve records, one per (config, run) of the plan in plan.configs order.
+    The profile comes first, so a bad sidecar or an unsatisfiable formula is
+    refused before any solve."""
     suite_dir, path, formula_id, plan = args
     formula = parse_dimacs(Path(path).read_text())
     # the profile sidecar and the record are keyed by formula_id, so a file
@@ -383,6 +385,7 @@ def _solve_formula(args) -> tuple[FormulaProfile, list[dict]]:
             f"{path} hashes to {found}, not to its manifest formula_id "
             f"{formula_id}: the file changed after the suite was written"
         )
+    profile = ensure_profile(suite_dir, formula_id, formula)
     solves = []
     for label, cfg in plan.configs:
         for run in range(plan.runs_per_formula):
@@ -393,7 +396,7 @@ def _solve_formula(args) -> tuple[FormulaProfile, list[dict]]:
                 "result": st.result, "conflicts": st.conflicts,
                 "restarts": st.restarts, "learned_deleted": st.learned_deleted,
             })
-    return ensure_profile(suite_dir, formula_id, formula), solves
+    return profile, solves
 
 
 def formula_record(
@@ -614,9 +617,9 @@ def hardness_table(labels: list[str], gaps: list[stats.BetaGapResult]) -> list[d
         {
             "config": label,
             f"beta_{a}_ci": _fmt_ci(gap.beta_a_ci95),
-            f"beta_{a}_p": _fmt_p(gap.beta_a.p_two_sided),
+            f"beta_{a}_p": _fmt_p(gap.beta_a_p),
             f"beta_{b}_ci": _fmt_ci(gap.beta_b_ci95),
-            f"beta_{b}_p": _fmt_p(gap.beta_b.p_two_sided),
+            f"beta_{b}_p": _fmt_p(gap.beta_b_p),
             "gap_ci": _fmt_ci(gap.gap_ci95),
             "gap_p": _fmt_p(gap.gap_p),
         }

@@ -28,10 +28,9 @@ def standardize(xs: Sequence[float]) -> list[float]:
     """Shift and scale to mean 0 and sample standard deviation 1."""
     if len(xs) < 2:
         raise ValueError("standardization needs at least 2 values")
-    s = sample_std(xs)
-    if s == 0.0:
+    if xs.count(xs[0]) == len(xs):  # exact, unlike a spread about a float mean
         raise ValueError("cannot standardize a constant series")
-    m = mean(xs)
+    m, s = mean(xs), sample_std(xs)
     return [(x - m) / s for x in xs]
 
 
@@ -47,10 +46,10 @@ class RegressionResult:
 
 def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float] | None:
     """Least-squares (slope, intercept) of ys on xs, or None for a constant x."""
+    if xs.count(xs[0]) == len(xs):
+        return None
     xbar, ybar = mean(xs), mean(ys)
     sxx = sum([(x - xbar) ** 2 for x in xs])
-    if sxx == 0.0:
-        return None
     beta = sum([(x - xbar) * (y - ybar) for x, y in zip(xs, ys)]) / sxx
     return beta, ybar - beta * xbar
 
@@ -132,16 +131,17 @@ def resamples(rows: Sequence[tuple], k: int, seed: int) -> Iterator[list[tuple]]
 @dataclass(frozen=True)
 class BetaGapResult:
     """Comparison of two regression slopes under a shared bootstrap
-    resampling: the full-data fits and percentile statistics of the draws."""
+    resampling: the percentile CI and two-sided p of each slope, of their
+    gap and of their intercepts' gap, all from the same kept draws."""
 
-    beta_a: RegressionResult
-    beta_b: RegressionResult
+    beta_a_ci95: tuple[float, float]
+    beta_a_p: float
+    beta_b_ci95: tuple[float, float]
+    beta_b_p: float
     gap_ci95: tuple[float, float]
     gap_p: float
     intercept_gap_ci95: tuple[float, float]
     intercept_gap_p: float
-    beta_a_ci95: tuple[float, float]
-    beta_b_ci95: tuple[float, float]
     skipped: int
 
 
@@ -166,11 +166,10 @@ def slope_gaps(
 
     A gap names two (x, y) column pairs, each fitted y on x. Each bootstrap
     iteration fits every distinct pair once; a pair whose resampled x is
-    constant gets no fit. A gap's percentile CIs and two-sided p-values come
-    from the iterations in which both of its pairs have a fit, and the rest
-    count as skipped."""
+    constant gets no fit. A gap's percentile CIs and two-sided p-values, its
+    slopes' too, come from the iterations in which both of its pairs have a
+    fit, and the rest count as skipped."""
     pairs = list(dict.fromkeys(pair for gap in gaps for pair in gap))
-    fits = {pair: ols(columns[pair[0]], columns[pair[1]]) for pair in pairs}
     per_iteration = []
     for sample in resamples(list(zip(*columns.values())), k, seed):
         cols = dict(zip(columns, zip(*sample)))
@@ -194,14 +193,14 @@ def slope_gaps(
         gap = [x - y for x, y in zip(betas_a, betas_b)]
         int_gap = [x - y for x, y in zip(ints_a, ints_b)]
         return BetaGapResult(
-            beta_a=fits[pair_a],
-            beta_b=fits[pair_b],
+            beta_a_ci95=_ci95(betas_a),
+            beta_a_p=_percentile_two_sided_p(betas_a),
+            beta_b_ci95=_ci95(betas_b),
+            beta_b_p=_percentile_two_sided_p(betas_b),
             gap_ci95=_ci95(gap),
             gap_p=_percentile_two_sided_p(gap),
             intercept_gap_ci95=_ci95(int_gap),
             intercept_gap_p=_percentile_two_sided_p(int_gap),
-            beta_a_ci95=_ci95(betas_a),
-            beta_b_ci95=_ci95(betas_b),
             skipped=k - len(kept),
         )
 

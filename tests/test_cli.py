@@ -964,6 +964,21 @@ class TestGenAndExperiment:
         assert err.endswith("; delete the sidecar to profile it again\n")
         assert (res / "records.jsonl").read_bytes() == b""
 
+    def test_a_corrupt_sidecar_is_refused_before_any_solve(
+        self, small_suite, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv(pipeline.CACHE_DIR_ENV, raising=False)
+        suite = tmp_path / "suite"
+        shutil.copytree(small_suite, suite)
+        row = min(pipeline.load_suite(suite), key=lambda r: r["formula_id"])
+        sidecar = suite / "profiles" / f"{row['formula_id']}.json"
+        sidecar.write_text(sidecar.read_text()[:10])
+        solves = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a: solves.append(a))
+        assert main(_run_args(suite, tmp_path / "res")) == EXIT_ERROR
+        assert f"profile sidecar {sidecar} cannot be read" in capsys.readouterr().err
+        assert solves == []
+
     def test_run_finds_profiles_gen_wrote_to_the_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv(pipeline.CACHE_DIR_ENV, str(cache))

@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -10,6 +11,7 @@ import random
 import re
 import shutil
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -731,19 +733,20 @@ def _sha256_files(paths):
 
 class TestGoldenReport:
     """Every report file and every `analyze` output, byte for byte, for
-    fixed synthetic records; the digests were recorded before the report
-    and analysis code was last restructured."""
+    fixed synthetic records. A restructuring must leave the digests as
+    they are; running this file prints them, to re-record after a
+    deliberate change of a report's bytes."""
 
     K, SEED = 200, 3
     REPORTS = {
         ("decay", "synthetic"):
-            "fdd7aec13186ab167579e4ee75fb0c80c2b791b6115dc7a12b3f52de55e194da",
+            "0d2e87e4086b7083d3437fb22ac0bd44669c4739ecba87a39829f74d5cae4e7e",
         ("decay", "small"):
-            "911e5b89cbeb1311c77508c532c7b1d8562aa19add47c7311f9ae1e0de9caf6f",
+            "54e28b82d5aa2abb6e5155ae54dbf44a8f5dedcd8f01e027682c27ca9ed023c8",
         ("hardness", "synthetic"):
-            "fbd496e606f1b2dc5a3795d06f7f5c2602860c8b57b7d19f0320e4d029ee0054",
+            "7050a90870b7de178ee4df93e70e92cec83a814fbcf92ddc8d9be7f64404888c",
         ("hardness", "small"):
-            "abed652046e48b321dc03479c46d88eee29827296f38914c9734d8836f30674f",
+            "88ea70cae05d48bbc85a994f409c02fad5d1bb4a8a431918ad045fd469646bb7",
     }
     ANALYZE = {
         ("synthetic", "delta"):
@@ -755,9 +758,9 @@ class TestGoldenReport:
         ("small", "delta"):
             "f301191f93d7e35ab6010976142ff6e24007d59de20c216d1f87bf6b336b2e6d",
         ("small", "delta-beta"):
-            "056c8d3d764f32d230de86992fbeea333266c15472c5a2b26e9774b97fc71cc5",
+            "5bc9e7c457d04237353e7d9558731ac6d0608ea15b72859beb8695b4a5004059",
         ("small", "beta-gap"):
-            "fb1fe08aa9fd9483a1193268fb8a548f2ff68fe113f02423467c9d57234c23ab",
+            "273b8e37169873cdcdf11387f0dd94500460083e87173037aca5655fdea6d08f",
     }
 
     @staticmethod
@@ -770,17 +773,40 @@ class TestGoldenReport:
             rec["conflicts"] = dict(zip(labels, rec["conflicts"].values()))
         return records
 
-    def test_report_files_are_golden(self, tmp_path):
+    @classmethod
+    def report_digests(cls, tmp):
         digests = {}
-        for plan_name, which in self.REPORTS:
+        for plan_name, which in cls.REPORTS:
             plan = make_plan(plan_name)
-            out = tmp_path / f"{plan_name}-{which}"
+            out = tmp / f"{plan_name}-{which}"
             written = emit_report(
-                plan, self.records(plan, which), out, k=self.K, seed=self.SEED
+                plan, cls.records(plan, which), out, k=cls.K, seed=cls.SEED
             )
             assert sorted(written) == sorted(out.iterdir())
             digests[plan_name, which] = _sha256_files(written)
-        assert digests == self.REPORTS
+        return digests
+
+    @classmethod
+    def analyze_digests(cls, tmp):
+        plan = make_plan("decay")
+        (label_a, _), (label_b, _) = plan.configs
+        digests = {}
+        for which, test in cls.ANALYZE:
+            out = tmp / which
+            emit_report(plan, cls.records(plan, which), out, k=10, seed=0)
+            argv = ["analyze", str(out / "records.csv"), "--test", test]
+            argv += ["--k", str(cls.K), "--seed", str(cls.SEED)]
+            argv += ["--col-a", f"conflicts[{label_a}]"]
+            argv += ["--col-b", f"conflicts[{label_b}]"]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                assert main(argv) == 0
+            blob = stdout.getvalue().encode() + b"\0" + stderr.getvalue().encode()
+            digests[which, test] = hashlib.sha256(blob).hexdigest()
+        return digests
+
+    def test_report_files_are_golden(self, tmp_path):
+        assert self.report_digests(tmp_path) == self.REPORTS
 
     def test_a_torn_write_leaves_every_report_file_whole(self, tmp_path, monkeypatch):
         # a write that dies part way must leave each file old or new
@@ -822,6 +848,29 @@ class TestGoldenReport:
         gap = stats.beta_gap_entropy_vs_density(e, d, ca, k=self.K, seed=self.SEED)
         assert 0 < gap.skipped < self.K
 
+    def test_small_records_skip_exactly_their_constant_resamples(self):
+        # the repeated density 0.3 standardizes to a float whose mean over a
+        # resample is inexact, yet such a resample has no density slope
+        labels = [label for label, _ in make_plan("decay").configs]
+        recs = small_records(labels)
+        raw = {m: [r[m] for r in recs] for m in ("entropy", "density")}
+        raw.update((lb, [r["conflicts"][lb] for r in recs]) for lb in labels)
+        constant = [
+            (len({e for e, _ in sample}) == 1, len({d for _, d in sample}) == 1)
+            for sample in stats.resamples(
+                list(zip(raw["entropy"], raw["density"])), self.K, self.SEED
+            )
+        ]
+        a, b = labels
+        gaps = [(("entropy", a), ("entropy", b)), (("density", a), ("density", b))]
+        gaps += [(("entropy", y), ("density", y)) for y in labels]
+        cols = pipeline.standard_columns(raw)
+        skipped = [g.skipped for g in stats.slope_gaps(cols, gaps, self.K, self.SEED)]
+        by_entropy, by_density = (sum(c[i] for c in constant) for i in (0, 1))
+        by_either = sum(e or d for e, d in constant)
+        assert skipped == [by_entropy, by_density, by_either, by_either]
+        assert 0 < by_entropy < by_density
+
     def test_report_fits_each_pair_once_from_one_bootstrap(self, tmp_path, monkeypatch):
         calls = {"line_fit": 0, "ols": 0, "resamples": 0}
 
@@ -838,10 +887,10 @@ class TestGoldenReport:
             monkeypatch.setattr(stats, name, counting(name))
         k = self.K
         # a paired plan line-fits its 4 (measure, config) pairs in each
-        # iteration; ols fits them on the full data, plus 2 gap regressions,
-        # and every plan fits 2 trendlines and the cross-measure line; each
-        # ols call makes one more line fit
-        for plan_name, fits, ols_calls in (("decay", 4 * k, 9), ("hardness", 2 * k, 5)):
+        # iteration and nowhere else; ols fits its 2 gap regressions, and
+        # every plan's 2 trendlines and cross-measure line; each ols call
+        # makes one more line fit
+        for plan_name, fits, ols_calls in (("decay", 4 * k, 5), ("hardness", 2 * k, 3)):
             plan = make_plan(plan_name)
             calls.update(line_fit=0, ols=0, resamples=0)
             records = self.records(plan, "synthetic")
@@ -893,23 +942,8 @@ class TestGoldenReport:
             emit_report(plan, recs, tmp_path, k=1, seed=100)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_analyze_output_is_golden(self, tmp_path, capsys):
-        plan = make_plan("decay")
-        (label_a, _), (label_b, _) = plan.configs
-        digests = {}
-        for which, test in self.ANALYZE:
-            out = tmp_path / which
-            emit_report(plan, self.records(plan, which), out, k=10, seed=0)
-            argv = ["analyze", str(out / "records.csv"), "--test", test]
-            argv += ["--k", str(self.K), "--seed", str(self.SEED)]
-            argv += ["--col-a", f"conflicts[{label_a}]"]
-            argv += ["--col-b", f"conflicts[{label_b}]"]
-            capsys.readouterr()
-            assert main(argv) == 0
-            captured = capsys.readouterr()
-            blob = captured.out.encode() + b"\0" + captured.err.encode()
-            digests[which, test] = hashlib.sha256(blob).hexdigest()
-        assert digests == self.ANALYZE
+    def test_analyze_output_is_golden(self, tmp_path):
+        assert self.analyze_digests(tmp_path) == self.ANALYZE
 
 
 class TestUnusableColumn:
@@ -1010,3 +1044,20 @@ class TestMeasureTable:
             assert table[:2] == pipeline.analysis_table(
                 three / "records.csv", test, *args
             )
+
+
+if __name__ == "__main__":
+    # Print the golden report and `analyze` digests, to paste into
+    # TestGoldenReport only after a deliberate change of a report's bytes:
+    # PYTHONPATH=src python tests/test_pipeline.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digests in (
+            ("REPORTS", TestGoldenReport.report_digests(pathlib.Path(tmp, "report"))),
+            ("ANALYZE", TestGoldenReport.analyze_digests(pathlib.Path(tmp, "analyze"))),
+        ):
+            print(f"    {name} = {{")
+            for key, digest in digests.items():
+                print(f'        ("{key[0]}", "{key[1]}"):\n            "{digest}",')
+            print("    }")

@@ -4,7 +4,9 @@ import statistics
 
 import pytest
 
+from satentropy import stats
 from satentropy.stats import (
+    RegressionResult,
     beta_gap_entropy_vs_density,
     delta_beta_test,
     delta_test,
@@ -58,7 +60,10 @@ class TestLineFit:
             assert bits == [float.hex(v) for v in reference_line(xs, ys)]
 
     def test_constant_x_has_no_fit(self):
-        for xs, ys in (([2, 2, 2], [1, 2, 3]), ([0.5] * 6, [0.0] * 6)):
+        # mean([0.1] * 3) is 0.10000000000000002: the spread about it is
+        # rounding residue, not 0, and still there is no slope
+        inexact = [([v] * 3, [1.0, 2.0, 3.0]) for v in (0.1, 0.2, 0.7)]
+        for xs, ys in (([2, 2, 2], [1, 2, 3]), ([0.5] * 6, [0.0] * 6), *inexact):
             assert line_fit(xs, ys) is None
             with pytest.raises(ValueError, match="x series is constant"):
                 ols(xs, ys)
@@ -82,8 +87,9 @@ class TestStandardize:
         assert all(abs(a - b) < 1e-12 for a, b in zip(once, twice))
 
     def test_constant_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            standardize([3, 3, 3])
+        for xs in ([3, 3, 3], [0.1] * 3, [0.2] * 3, [0.7] * 3):
+            with pytest.raises(ValueError, match="constant"):
+                standardize(xs)
 
 
 class TestOls:
@@ -284,6 +290,34 @@ class TestSlopeGaps:
             slope_gaps(self.COLUMNS, [gap], 1, 5)
         [other] = slope_gaps(self.COLUMNS, [(("z", "y"), ("z", "x"))], 1, 5)
         assert other.skipped == 0
+
+    def test_only_resamples(self, monkeypatch):
+        def no_ols(*args):
+            raise AssertionError("slope_gaps made a full-data fit")
+
+        monkeypatch.setattr(stats, "ols", no_ols)
+        gaps = [(("x", "y"), ("z", "y")), (("z", "y"), ("z", "x"))]
+        for result in slope_gaps(self.COLUMNS, gaps, 50, 5):
+            values = vars(result).values()
+            assert not any(isinstance(v, RegressionResult) for v in values)
+
+    def test_each_slope_takes_its_p_from_its_ci_draws(self):
+        # heavy-tailed x, like raw density: a normal-theory p beside a
+        # percentile CI disagreed about 0.05 on many of these sets. Here a
+        # p below 0.05 excludes 0 from the CI, and a CI that excludes 0 has
+        # p at most 0.05 + 2/n: the 2.5 % position may fall between the
+        # last draw at or below 0 and the first above it
+        for t in range(300):
+            rng = random.Random(t)
+            x, w = ([math.exp(rng.gauss(0, 2)) for _ in range(20)] for _ in "xw")
+            y = [rng.gauss(0, 1) + 0.15 * math.sqrt(v) for v in x]
+            cols = {"x": standardize(x), "w": standardize(w), "y": standardize(y)}
+            [r] = slope_gaps(cols, [(("x", "y"), ("w", "y"))], 300, t)
+            n = 300 - r.skipped
+            for ci, p in ((r.beta_a_ci95, r.beta_a_p), (r.beta_b_ci95, r.beta_b_p)):
+                covers = ci[0] <= 0.0 <= ci[1]
+                assert not (p < 0.05 and covers), (t, ci, p)
+                assert not (not covers and p > 0.05 + 2 / n), (t, ci, p)
 
 
 class TestBetaGapEntropyVsDensity:
