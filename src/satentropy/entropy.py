@@ -5,7 +5,8 @@ profile_from_counts is the one derivation of a profile from its counts
 (variable count, model count and each variable's exact ratio):
 profile_formula builds through it, and FormulaProfile.from_dict rebuilds
 a stored profile from its counts and refuses one whose other fields
-differ from what they give, or whose counts no formula has.
+differ from what they give (its entropies by more than rounding), or
+whose counts no formula has.
 backbone_size counts no models: it probes one incremental CDCL instance,
 one probe per candidate literal under the assumption that it is false,
 and can stop early once the size is known to lie above or below a
@@ -66,10 +67,11 @@ class FormulaProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "FormulaProfile":
         """The profile that a to_dict dict's vars, model_count and r_exact
-        values give; ValueError naming any other to_dict field that differs,
-        or a count no formula has: a model_count outside 1..2^vars, or an
-        r_exact that does not give a whole number of models. Other keys,
-        such as an older sidecar's float 'r', are ignored."""
+        values give; ValueError naming any other to_dict field that differs
+        (an entropy by more than rounding, math.isclose), or a count no
+        formula has: a model_count outside 1..2^vars, or an r_exact that
+        does not give a whole number of models. Other keys, such as an
+        older sidecar's float 'r', are ignored."""
         ratios = []
         for p in d["per_var"]:
             r = Fraction(p["r_exact"]) if isinstance(p["r_exact"], str) else None
@@ -83,13 +85,18 @@ class FormulaProfile:
             raise ValueError(f"'model_count' {model_count} is not in 1..2^{n}")
         profile = profile_from_counts(n, model_count, ratios)
         want = profile.to_dict()
+        # an entropy is a float made of log2 values and, for the mean, their
+        # sum: it must equal its counts' value to rounding, the rest exactly
         fields = [
-            (repr(k), d[k], want[k]) for k in ("entropy", "density", "backbone_count")
+            (repr(k), d[k], want[k], k == "entropy")
+            for k in ("entropy", "density", "backbone_count")
         ]
         for i, (p, q) in enumerate(zip(d["per_var"], want["per_var"])):
-            fields += [(f"per_var[{i}] {k!r}", p[k], q[k]) for k in ("v", "e")]
-        for name, stored, given in fields:
-            if stored != given:
+            fields += [(f"per_var[{i}] {k!r}", p[k], q[k], k == "e") for k in ("v", "e")]
+        for name, stored, given, rounded in fields:
+            if stored != given and not (
+                rounded and isinstance(stored, float) and math.isclose(stored, given)
+            ):
                 raise ValueError(f"{name} is {stored!r}, but its counts give {given!r}")
         for i, r in enumerate(ratios):
             if (r * model_count).denominator != 1:
@@ -125,7 +132,7 @@ def profile_from_counts(
     return FormulaProfile(
         num_vars=num_vars,
         model_count=model_count,
-        entropy=sum(p.entropy for p in variables) / num_vars if num_vars else 1.0,
+        entropy=math.fsum(p.entropy for p in variables) / num_vars if num_vars else 1.0,
         density=float(Fraction(model_count, 1 << num_vars)),
         backbone_count=sum(p.is_backbone for p in variables),
         variables=variables,

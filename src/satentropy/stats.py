@@ -4,6 +4,7 @@ take their series as given: callers standardize them."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -16,12 +17,12 @@ def normal_cdf(z: float) -> float:
 
 
 def mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+    return math.fsum(xs) / len(xs)
 
 
 def sample_std(xs: Sequence[float]) -> float:
     m = mean(xs)
-    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - 1))
+    return math.sqrt(math.fsum((x - m) ** 2 for x in xs) / (len(xs) - 1))
 
 
 def standardize(xs: Sequence[float]) -> list[float]:
@@ -49,8 +50,8 @@ def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float] | 
     if xs.count(xs[0]) == len(xs):
         return None
     xbar, ybar = mean(xs), mean(ys)
-    sxx = sum([(x - xbar) ** 2 for x in xs])
-    beta = sum([(x - xbar) * (y - ybar) for x, y in zip(xs, ys)]) / sxx
+    sxx = math.fsum([(x - xbar) ** 2 for x in xs])
+    beta = math.fsum([(x - xbar) * (y - ybar) for x, y in zip(xs, ys)]) / sxx
     return beta, ybar - beta * xbar
 
 
@@ -66,8 +67,8 @@ def ols(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
         raise ValueError("x series is constant")
     beta, intercept = fit
     xbar = mean(xs)
-    sxx = sum([(x - xbar) ** 2 for x in xs])
-    sse = sum((y - (intercept + beta * x)) ** 2 for x, y in zip(xs, ys))
+    sxx = math.fsum([(x - xbar) ** 2 for x in xs])
+    sse = math.fsum((y - (intercept + beta * x)) ** 2 for x, y in zip(xs, ys))
     beta_std = math.sqrt(max(sse, 0.0) / (n - 2) / sxx)
     if beta_std == 0.0:
         z = 0.0 if beta == 0.0 else math.copysign(math.inf, beta)
@@ -84,30 +85,16 @@ def ols(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
     )
 
 
-def percentile(sorted_vals: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of pre-sorted values, q in [0,1]."""
-    n = len(sorted_vals)
-    if n == 1:
-        return sorted_vals[0]
-    pos = q * (n - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
-
-
-def _ci95(values: Sequence[float]) -> tuple[float, float]:
-    """Percentile 95% interval of unsorted values."""
-    s = sorted(values)
-    return (percentile(s, 0.025), percentile(s, 0.975))
-
-
-def _percentile_two_sided_p(values: Sequence[float]) -> float:
-    """2 * min(fraction <= 0, fraction >= 0), clamped to [0,1]."""
-    n = len(values)
-    le = sum(1 for v in values if v <= 0.0)
-    ge = sum(1 for v in values if v >= 0.0)
-    return min(1.0, 2.0 * min(le / n, ge / n))
+def _summary(values: Sequence[float]) -> tuple[tuple[float, float], float]:
+    """The 95% interval and two-sided p of a bootstrap series, both read off
+    one sorted copy. The interval runs from the ceil(n/40)-th smallest to
+    the ceil(n/40)-th largest value, the order-statistic percentile interval
+    (Efron & Tibshirani 1993); p is 2 * min(#<= 0, #>= 0) / n, clamped to 1.
+    With that rank on both ends the interval excludes 0 exactly when p < 0.05."""
+    s, n = sorted(values), len(values)
+    rank = math.ceil(n / 40)
+    le, ge = bisect.bisect_right(s, 0.0), n - bisect.bisect_left(s, 0.0)
+    return (s[rank - 1], s[n - rank]), min(1.0, 2.0 * min(le, ge) / n)
 
 
 def resamples(rows: Sequence[tuple], k: int, seed: int) -> Iterator[list[tuple]]:
@@ -131,8 +118,8 @@ def resamples(rows: Sequence[tuple], k: int, seed: int) -> Iterator[list[tuple]]
 @dataclass(frozen=True)
 class BetaGapResult:
     """Comparison of two regression slopes under a shared bootstrap
-    resampling: the percentile CI and two-sided p of each slope, of their
-    gap and of their intercepts' gap, all from the same kept draws."""
+    resampling: the `_summary` of each slope, of their gap and of their
+    intercepts' gap, in that order, all over the same kept draws."""
 
     beta_a_ci95: tuple[float, float]
     beta_a_p: float
@@ -166,9 +153,9 @@ def slope_gaps(
 
     A gap names two (x, y) column pairs, each fitted y on x. Each bootstrap
     iteration fits every distinct pair once; a pair whose resampled x is
-    constant gets no fit. A gap's percentile CIs and two-sided p-values, its
-    slopes' too, come from the iterations in which both of its pairs have a
-    fit, and the rest count as skipped."""
+    constant gets no fit. A gap's intervals and p-values, its slopes' too,
+    come from the iterations in which both of its pairs have a fit, and the
+    rest count as skipped."""
     pairs = list(dict.fromkeys(pair for gap in gaps for pair in gap))
     per_iteration = []
     for sample in resamples(list(zip(*columns.values())), k, seed):
@@ -192,17 +179,8 @@ def slope_gaps(
         )
         gap = [x - y for x, y in zip(betas_a, betas_b)]
         int_gap = [x - y for x, y in zip(ints_a, ints_b)]
-        return BetaGapResult(
-            beta_a_ci95=_ci95(betas_a),
-            beta_a_p=_percentile_two_sided_p(betas_a),
-            beta_b_ci95=_ci95(betas_b),
-            beta_b_p=_percentile_two_sided_p(betas_b),
-            gap_ci95=_ci95(gap),
-            gap_p=_percentile_two_sided_p(gap),
-            intercept_gap_ci95=_ci95(int_gap),
-            intercept_gap_p=_percentile_two_sided_p(int_gap),
-            skipped=k - len(kept),
-        )
+        summaries = map(_summary, (betas_a, betas_b, gap, int_gap))
+        return BetaGapResult(*(f for ci_p in summaries for f in ci_p), k - len(kept))
 
     return [result(*gap) for gap in gaps]
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -148,6 +150,22 @@ class TestProfile:
         p = profile_formula(f)
         q = FormulaProfile.from_dict(p.to_dict())
         assert q == p
+
+    def test_an_entropy_equal_to_rounding_loads(self):
+        # a sidecar written where sum adds floats left to right (Python
+        # 3.11) holds another last bit of this mean than math.fsum gives
+        f = CnfFormula.from_clause_lists(4, [[-4, -2], [-1, -3, 4]])
+        p = profile_formula(f)
+        d = p.to_dict()
+        entropies = [v.entropy for v in p.variables]
+        d["entropy"] = functools.reduce(operator.add, entropies) / 4
+        assert d["entropy"] != p.entropy
+        d["per_var"][1]["e"] = math.nextafter(entropies[1], 0.0)
+        assert FormulaProfile.from_dict(d) == p
+        # beyond rounding, or not a float, it is still refused
+        for entropy in (p.entropy + 1e-6, str(p.entropy)):
+            with pytest.raises(ValueError, match="'entropy' is "):
+                FormulaProfile.from_dict({**d, "entropy": entropy})
 
 
 class TestBackbone:

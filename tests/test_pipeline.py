@@ -740,27 +740,27 @@ class TestGoldenReport:
     K, SEED = 200, 3
     REPORTS = {
         ("decay", "synthetic"):
-            "0d2e87e4086b7083d3437fb22ac0bd44669c4739ecba87a39829f74d5cae4e7e",
+            "5d31e9824869c56b388c03f386ad34a7b3c713e11da87802439643d4f49b908a",
         ("decay", "small"):
-            "54e28b82d5aa2abb6e5155ae54dbf44a8f5dedcd8f01e027682c27ca9ed023c8",
+            "f013e71199d5f0736f80c325a430be5da0de17e3644bbc73a4b76a4baae84154",
         ("hardness", "synthetic"):
-            "7050a90870b7de178ee4df93e70e92cec83a814fbcf92ddc8d9be7f64404888c",
+            "f0be565f23173a164011c69508fb6cbca6f3a70b11129aa5ec89c8153a064432",
         ("hardness", "small"):
-            "88ea70cae05d48bbc85a994f409c02fad5d1bb4a8a431918ad045fd469646bb7",
+            "ba1a88c3a4f3861a89f3b802cca90f0cd6473883c8fa187ed8377c60e5ff0065",
     }
     ANALYZE = {
         ("synthetic", "delta"):
             "a6b8a4c4d1d24619cf5b197cd121176cd5dbe6348f73c1c338a36717c831b49c",
         ("synthetic", "delta-beta"):
-            "2beb7ab3df7c79e6f78a00877a1662d00ef2d55f26fa25cfbc82fe49585124e3",
+            "ec8d5a7f42916926511729f649df9ab8127562592a69ddf675fbac8472f26218",
         ("synthetic", "beta-gap"):
-            "5ed27466a96a009371dc316e9181bbd6785f11d209a7333e9eaf5e76a89c0748",
+            "7efa5ec892b752af682d546054cfb5132752801d1a478c99f5836995ce5fd28c",
         ("small", "delta"):
             "f301191f93d7e35ab6010976142ff6e24007d59de20c216d1f87bf6b336b2e6d",
         ("small", "delta-beta"):
-            "5bc9e7c457d04237353e7d9558731ac6d0608ea15b72859beb8695b4a5004059",
+            "2523dcd913e91e22d5e7d793da4a060a7a57b68015536dd76a576150da826b2b",
         ("small", "beta-gap"):
-            "273b8e37169873cdcdf11387f0dd94500460083e87173037aca5655fdea6d08f",
+            "729d8f96260eef19b8e558fa4f1bf3dbdfecaa17e6e604fb2f08b057a56d0091",
     }
 
     @staticmethod

@@ -14,7 +14,6 @@ from satentropy.stats import (
     mean,
     normal_cdf,
     ols,
-    percentile,
     resamples,
     slope_gaps,
     standardize,
@@ -32,11 +31,12 @@ HAND_DATASETS = [
 
 
 def reference_line(xs, ys):
-    """The slope and intercept as ols computed them before line_fit: the
-    floats line_fit and ols must reproduce bit for bit."""
-    xbar, ybar = mean(xs), mean(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    beta = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    """The slope and intercept from the normal equations, each sum correctly
+    rounded (math.fsum, the same on every Python): the floats line_fit and
+    ols must reproduce bit for bit."""
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    beta = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
     return beta, ybar - beta * xbar
 
 
@@ -200,8 +200,8 @@ class TestBootstrap:
                 gaps.append(fit_a[0] - line_fit(xs, [r[2] for r in sample])[0])
         r = delta_beta_test(m, ca, cb, k=300, seed=6)
         assert 0 < r.skipped == 300 - len(gaps)
-        ordered = sorted(gaps)
-        assert r.gap_ci95 == (percentile(ordered, 0.025), percentile(ordered, 0.975))
+        ordered, rank = sorted(gaps), math.ceil(len(gaps) / 40)
+        assert r.gap_ci95 == (ordered[rank - 1], ordered[-rank])
         below, above = sum(g <= 0 for g in gaps), sum(g >= 0 for g in gaps)
         assert r.gap_p == min(1.0, 2.0 * min(below, above) / len(gaps))
 
@@ -302,22 +302,56 @@ class TestSlopeGaps:
             assert not any(isinstance(v, RegressionResult) for v in values)
 
     def test_each_slope_takes_its_p_from_its_ci_draws(self):
-        # heavy-tailed x, like raw density: a normal-theory p beside a
-        # percentile CI disagreed about 0.05 on many of these sets. Here a
-        # p below 0.05 excludes 0 from the CI, and a CI that excludes 0 has
-        # p at most 0.05 + 2/n: the 2.5 % position may fall between the
-        # last draw at or below 0 and the first above it
+        # heavy-tailed x, like raw density, puts many slopes near 0.05. Each
+        # series of a result, both slopes, their gap and their intercepts'
+        # gap, has an interval that covers 0 exactly when its p is >= 0.05
         for t in range(300):
             rng = random.Random(t)
             x, w = ([math.exp(rng.gauss(0, 2)) for _ in range(20)] for _ in "xw")
             y = [rng.gauss(0, 1) + 0.15 * math.sqrt(v) for v in x]
             cols = {"x": standardize(x), "w": standardize(w), "y": standardize(y)}
             [r] = slope_gaps(cols, [(("x", "y"), ("w", "y"))], 300, t)
-            n = 300 - r.skipped
-            for ci, p in ((r.beta_a_ci95, r.beta_a_p), (r.beta_b_ci95, r.beta_b_p)):
+            for ci, p in (
+                (r.beta_a_ci95, r.beta_a_p),
+                (r.beta_b_ci95, r.beta_b_p),
+                (r.gap_ci95, r.gap_p),
+                (r.intercept_gap_ci95, r.intercept_gap_p),
+            ):
                 covers = ci[0] <= 0.0 <= ci[1]
-                assert not (p < 0.05 and covers), (t, ci, p)
-                assert not (not covers and p > 0.05 + 2 / n), (t, ci, p)
+                assert covers == (p >= 0.05), (t, ci, p)
+
+
+class TestSummary:
+    def test_one_draw(self):
+        assert stats._summary([0.5]) == ((0.5, 0.5), 0.0)
+        assert stats._summary([-2.0]) == ((-2.0, -2.0), 0.0)
+        assert stats._summary([0.0]) == ((0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("n,rank", [(39, 1), (40, 1), (41, 2), (80, 2), (81, 3)])
+    def test_interval_ends_are_the_ceil_n_over_40th_draws(self, n, rank):
+        values = [float(v) for v in range(1, n + 1)]
+        random.Random(n).shuffle(values)
+        assert stats._summary(values) == ((float(rank), float(n + 1 - rank)), 0.0)
+
+    def test_zeros(self):
+        assert stats._summary([0.0] * 50) == ((0.0, 0.0), 1.0)
+        assert stats._summary([-0.0, 0.0, 1.0]) == ((-0.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("n", [40, 80, 400])
+    def test_n_over_40_draws_at_or_below_0_cover_0_with_p_005(self, n):
+        low = [-1.0] * (n // 40 - 1) + [0.0]
+        values = [1.0 + v for v in range(n - len(low))] + low
+        (lo, hi), p = stats._summary(values)
+        assert p == 0.05 and lo <= 0.0 <= hi
+        # one draw fewer at or below 0 excludes 0, with p below 0.05
+        (lo, hi), p = stats._summary(values[:-1] + [0.5])
+        assert p < 0.05 and lo > 0.0
+
+    def test_counts_each_side(self):
+        values = [-3.0, -1.0, 0.0, 2.0, 5.0, 7.0]
+        assert stats._summary(values) == ((-3.0, 7.0), 1.0)
+        assert stats._summary(values[2:] + [1.0] * 14)[1] == 2 * 1 / 18
+        assert stats._summary([v - 10.0 for v in values])[1] == 0.0
 
 
 class TestBetaGapEntropyVsDensity:
