@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import pipeline
@@ -72,7 +73,15 @@ def _cmd_solve(args) -> int:
     config = SolverConfig.from_spec(
         _config_flags(args), seed=args.seed, conflict_budget=args.conflict_budget
     )
+    start = time.perf_counter()
     st = solve(formula, config)
+    seconds = time.perf_counter() - start
+    rate = st.propagations / seconds if seconds > 0 else 0.0
+    print(
+        f"c {st.conflicts} conflicts, {st.propagations} propagations in "
+        f"{seconds:.3f} s ({rate:.0f} propagations/s)",
+        file=sys.stderr,
+    )
     stats = st.to_dict()
     print(json.dumps(stats, sort_keys=True))
     if st.result == "SAT":

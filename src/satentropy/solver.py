@@ -16,18 +16,22 @@ is the one-instance backbone loop of Janota, Lynce & Marques-Silva
 (AI Communications 2015) on a MiniSat-style assumption interface.
 
 Assignments and watches are literal-indexed, as in MiniSat (Een & Sorensson,
-"An extensible SAT-solver", SAT 2003): `value` and `watches` are flat lists
-of length 2n + 1 where literal l lives at index l, so -v lands in the upper
-half by Python's negative indexing and `value[lit]` is the literal's truth
-value. Propagation keeps its state in locals and looks for a new watch in a
-k-literal clause at lits[2], then over the prebuilt `scan[k]` = range(3, k),
-a table that reaches the longest clause (a problem clause may repeat a
-literal). `analyze` bumps and decays VSIDS activity in locals, backjumping
-cuts the trail at a level boundary in one slice, and the restart checks
-keep running totals. None of this may change the search: watch lists keep
-their order and swap-with-last removal, clauses their literal order and
-VSIDS its float operations, and golden corpora in the tests pin `SolveStats`
-for fixed (formula, config, seed) triples and for each backbone probe.
+"An extensible SAT-solver", SAT 2003): inside the solver the literal v is
+the code 2v and -v the code 2v + 1, so `value` and `watches` are flat lists
+of length 2n + 2, `value[c]` is the literal's truth value, c ^ 1 is its
+negation and c >> 1 its variable. Every subscript is then non-negative,
+which CPython 3.11+ specializes and a negative one is not. The trail, the
+clauses, the units and a probe's assumption hold codes; `probe`, the model
+and `SolveStats` speak DIMACS. Propagation keeps its state in locals and
+looks for a new watch in a k-literal clause at lits[2], then over the
+prebuilt `scan[k]` = range(3, k), a table that reaches the longest clause
+(a problem clause may repeat a literal). `analyze` bumps and decays VSIDS
+activity in locals, backjumping cuts the trail at a level boundary in one
+slice, and the restart checks keep running totals. None of this may change
+the search: watch lists keep their order and swap-with-last removal,
+clauses their literal order and VSIDS its float operations, and golden
+corpora in the tests pin `SolveStats` for fixed (formula, config, seed)
+triples and for each backbone probe.
 """
 
 from __future__ import annotations
@@ -310,7 +314,8 @@ _UNASSIGNED = -1
 
 
 def _satisfied(clause_lits: list[tuple[int, ...]], value: list[int]) -> bool:
-    """True iff every clause has a literal that is true in `value`."""
+    """True iff every clause has a literal that is true in `value`, which
+    is indexed by DIMACS literal."""
     for lits in clause_lits:
         for lit in lits:
             if value[lit] == 1:
@@ -326,9 +331,12 @@ class _Solver:
         self.n = formula.num_vars
         self.rng = random.Random(config.seed)
 
-        # value[lit] is 1/0/_UNASSIGNED for either polarity: v at slot v,
-        # -v at slot 2n + 1 - v by negative indexing
-        self.value = [_UNASSIGNED] * (2 * self.n + 1)
+        # code[l]: the code of the DIMACS literal l, 2v for v and 2v + 1 for
+        # -v (read by negative indexing); code[0] = 0 is no literal's
+        n2 = 2 * self.n
+        self.code = [*range(0, n2 + 2, 2), *range(n2 + 1, 2, -2)]
+        # value[c] is 1/0/_UNASSIGNED for either polarity; slots 0, 1 unused
+        self.value = [_UNASSIGNED] * (n2 + 2)
         self.level = [0] * (self.n + 1)
         # reason[v]: the clause record that implied v, None for decisions
         # and unit clauses
@@ -341,7 +349,7 @@ class _Solver:
         self.var_inc = 1.0
         self.saved_phase = [bool(self.rng.getrandbits(1)) for _ in range(self.n + 1)]
 
-        # watches[lit]: clause records watching lit, indexed like value; a
+        # watches[c]: clause records watching c, indexed like value; a
         # record is (lits, meta) with meta None for problem clauses
         self.watches: list[list] = []
         self.learned: list[LearnedClauseMeta] = []
@@ -363,13 +371,14 @@ class _Solver:
         self.clauses: list[list[int]] = []
         # the problem clauses as given, against which each model is checked
         self.clause_lits = formula.clause_lists()
+        encode = self.code.__getitem__
         for lits in self.clause_lits:
             if len(lits) == 0:
                 self.unsat = True
             elif len(lits) == 1:
-                self.units.append(lits[0])
+                self.units.append(encode(lits[0]))
             else:
-                self.clauses.append(list(lits))
+                self.clauses.append(list(map(encode, lits)))
         # scan[k]: where propagate looks for a new watch after lits[2]
         longest = max(map(len, self.clause_lits), default=0)
         self.scan = [range(3, k) for k in range(max(self.n, longest) + 1)]
@@ -381,8 +390,8 @@ class _Solver:
         if val == 0:
             return False
         if val == _UNASSIGNED:
-            v = abs(lit)
-            self.value[lit], self.value[-lit] = 1, 0
+            v = lit >> 1
+            self.value[lit], self.value[lit ^ 1] = 1, 0
             self.level[v] = len(self.trail_lim)
             self.reason[v] = reason
             self.trail.append(lit)
@@ -395,7 +404,7 @@ class _Solver:
         return rec
 
     def attach_all(self):
-        self.watches = [[] for _ in range(2 * self.n + 1)]
+        self.watches = [[] for _ in range(2 * self.n + 2)]
         for lits in self.clauses:
             self.watch(lits, None)
         for meta in self.learned:
@@ -416,7 +425,7 @@ class _Solver:
         start = qhead
         conflict = None
         while qhead < len(trail):
-            falsified = -trail[qhead]
+            falsified = trail[qhead] ^ 1
             qhead += 1
             watchlist = watches[falsified]
             # only the swap-with-last removal below changes this list's length
@@ -458,9 +467,9 @@ class _Solver:
                     if value[first] == 0:
                         conflict = rec
                         break
-                    v = first if first > 0 else -first
+                    v = first >> 1
                     value[first] = 1
-                    value[-first] = 0
+                    value[first ^ 1] = 0
                     level[v] = cur_level
                     reason[v] = rec
                     trail.append(first)
@@ -479,8 +488,8 @@ class _Solver:
         best_v = None
         best_a = -1.0
         ties = 0
-        for v in range(1, self.n + 1):
-            if value[v] != _UNASSIGNED:
+        for v, val in enumerate(value[2::2], 1):
+            if val != _UNASSIGNED:
                 continue
             a = activity[v]
             if a > best_a:
@@ -514,13 +523,13 @@ class _Solver:
         while True:
             if meta is not None:
                 meta.activity += 1.0
-                lbd = len({level[l if l > 0 else -l] for l in lits})
+                lbd = len({level[l >> 1] for l in lits})
                 if lbd < meta.lbd_cut:
                     meta.lbd_cut = lbd
             for l in lits:
                 if l == asserting:
                     continue
-                v = l if l > 0 else -l
+                v = l >> 1
                 if seen[v]:
                     continue
                 lv = level[v]
@@ -539,15 +548,15 @@ class _Solver:
                         lower_levels.add(lv)
             # walk back to the next marked trail literal
             p = trail[trail_idx]
-            while not seen[p if p > 0 else -p]:
+            while not seen[p >> 1]:
                 trail_idx -= 1
                 p = trail[trail_idx]
             trail_idx -= 1
-            v = p if p > 0 else -p
+            v = p >> 1
             seen[v] = False
             counter -= 1
             if counter == 0:
-                learned[0] = -p
+                learned[0] = p ^ 1
                 break
             lits, meta = reason[v]
             asserting = p
@@ -567,9 +576,9 @@ class _Solver:
             saved_phase = self.saved_phase
             reason = self.reason
             for lit in trail[cut:]:
-                v = lit if lit > 0 else -lit
-                saved_phase[v] = lit > 0
-                value[lit] = value[-lit] = _UNASSIGNED
+                v = lit >> 1
+                saved_phase[v] = not lit & 1
+                value[lit] = value[lit ^ 1] = _UNASSIGNED
                 reason[v] = None
             del trail[cut:]
             del trail_lim[target_level:]
@@ -652,15 +661,15 @@ class _Solver:
         if self.unsat:
             return None
         self.backjump(0)
-        st = self.search(assume)
+        st = self.search(self.code[assume])
         if st.result == "BUDGET":
             raise RuntimeError("conflict budget exhausted during a probe")
         return st.model
 
     def search(self, assume: int | None = None) -> SolveStats:
-        """The CDCL loop from the current trail; with `assume`, the search
-        decides that literal first at level 0 and stops with "UNSAT" once
-        it is false there."""
+        """The CDCL loop from the current trail; with `assume`, a literal's
+        code, the search decides that literal first at level 0 and stops
+        with "UNSAT" once it is false there."""
         while True:
             conflict = self.propagate()
             if conflict is not None:
@@ -702,17 +711,18 @@ class _Solver:
                     continue
             v = self.pick_branch_var()
             if v is None:
-                value = self.value
-                if not _satisfied(self.clause_lits, value):
+                # value by DIMACS literal, so the check reads the formula's
+                # own clauses
+                dimacs = list(map(self.value.__getitem__, self.code))
+                if not _satisfied(self.clause_lits, dimacs):
                     raise RuntimeError("model failed verification (soundness bug)")
-                if assume is not None and value[assume] != 1:
+                if assume is not None and self.value[assume] != 1:
                     raise RuntimeError("model violates the assumption (soundness bug)")
-                model = {u: value[u] == 1 for u in range(1, self.n + 1)}
+                model = {u: dimacs[u] == 1 for u in range(1, self.n + 1)}
                 return self._stats("SAT", model)
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            lit = v if self.saved_phase[v] else -v
-            self.enqueue(lit)
+            self.enqueue(v << 1 | (not self.saved_phase[v]))
 
     def _stats(self, result: str, model) -> SolveStats:
         return SolveStats(

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -114,6 +115,41 @@ class TestSolve:
     def test_unsat_exit(self, unsat_file, capsys):
         assert main(["solve", unsat_file]) == EXIT_UNSAT
         assert json.loads(capsys.readouterr().out)["result"] == "UNSAT"
+
+    THROUGHPUT = re.compile(
+        r"c (\d+) conflicts, (\d+) propagations in \d+\.\d{3} s \(\d+ propagations/s\)\n"
+    )
+
+    def test_stdout_is_the_stats_and_stderr_the_throughput(self, tmp_path, capsys):
+        # the model is decoded to DIMACS literals of both signs
+        p = tmp_path / "small.cnf"
+        p.write_text("p cnf 4 4\n1 -2 0\n2 3 0\n-1 -3 0\n-4 0\n")
+        assert main(["solve", str(p), "--seed", "3"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == (
+            '{"conflicts": 0, "decisions": 1, "learned_deleted": 0, "learned_kept": 0, '
+            '"model": [1, 2, -3, -4], "propagations": 4, "restarts": 0, "result": "SAT"}\n'
+            "v 1 2 -3 -4 0\n"
+        )
+        assert self.THROUGHPUT.fullmatch(err).groups() == ("0", "4")
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_the_throughput_line_counts_the_search(self, tmp_path, capsys, seed):
+        formula = gen_random_3sat(40, 170, seed)
+        p = tmp_path / "f.cnf"
+        p.write_text(write_dimacs(formula))
+        code = main(["solve", str(p), "--seed", "2"])
+        st = solve(formula, SolverConfig(seed=2))
+        assert code == {"SAT": EXIT_OK, "UNSAT": EXIT_UNSAT}[st.result]
+        out, err = capsys.readouterr()
+        stats = st.to_dict()
+        want = json.dumps(stats, sort_keys=True) + "\n"
+        if st.result == "SAT":
+            want += f"v {' '.join(map(str, stats['model']))} 0\n"
+        assert out == want and st.conflicts > 0
+        assert self.THROUGHPUT.fullmatch(err).groups() == (
+            str(st.conflicts), str(st.propagations)
+        )
 
     def test_flag_parsing(self, sat_file):
         assert (

@@ -42,6 +42,11 @@ ALL_CONFIGS = [
 ]
 
 
+def dimacs(code):
+    """The DIMACS literal of a solver literal code: 2v is v, 2v + 1 is -v."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
 def luby_reference(i):
     """Direct recursive evaluation of the defining cases."""
     k = 1
@@ -156,7 +161,7 @@ class TestReduceDatabase:
                 super().reduce_learned()
                 learned = {id(m) for m in self.learned}
                 for lit in self.trail:
-                    rec = self.reason[abs(lit)]
+                    rec = self.reason[abs(dimacs(lit))]
                     if rec is None or rec[1] is None:
                         continue
                     protected.append(rec)
@@ -308,15 +313,18 @@ class TestSolve:
             solve(CnfFormula.from_clause_lists(2, [[1, 2]]))
 
     def test_flipped_variable_fails_verification(self):
-        # the check reads the literal-indexed value array, not a model dict
+        # the check reads the solver's value array, not a model dict
         f = random_3sat(3, 20, 4.0)
         flipped = []
 
         class Flipping(_Solver):
+            def by_literal(self):
+                return {dimacs(c): x for c, x in enumerate(self.value) if c > 1}
+
             def pick_branch_var(self):
                 v = super().pick_branch_var()
                 if v is None:  # full assignment: flip the one true literal of a clause
-                    value = self.value
+                    value = self.by_literal()
                     assert _satisfied(f.clause_lists(), value)
                     lit = next(
                         l
@@ -325,9 +333,10 @@ class TestSolve:
                         for l in lits
                         if value[l] == 1
                     )
-                    value[lit], value[-lit] = 0, 1
+                    code = self.code[lit]
+                    self.value[code], self.value[code ^ 1] = 0, 1
                     flipped.append(lit)
-                    assert not _satisfied(f.clause_lists(), value)
+                    assert not _satisfied(f.clause_lists(), self.by_literal())
                 return v
 
         with pytest.raises(RuntimeError, match="^model failed verification"):
@@ -423,7 +432,7 @@ class TestVsidsInvariance:
         for before, inc, after, inc_after, learned in s.steps:
             assert inc_after == inc / 0.8 < 1e100
             bumped = {v for v in range(1, s.n + 1) if after[v] != before[v]}
-            assert {abs(l) for l in learned} <= bumped
+            assert {abs(dimacs(l)) for l in learned} <= bumped
             for v in bumped:
                 assert after[v] == before[v] + inc
 
@@ -452,11 +461,9 @@ class TestWatchInvariant:
                 conflict = super().propagate()
                 live = [m.lits for m in self.learned] + self.clauses
                 places = {id(lits): [] for lits in live}
-                size = len(self.watches)
-                for index, watchlist in enumerate(self.watches):
-                    lit = index if index <= self.n else index - size
+                for code, watchlist in enumerate(self.watches):
                     for lits, _ in watchlist:
-                        places[id(lits)].append(lit)
+                        places[id(lits)].append(code)
                 for lits in live:
                     assert sorted(places[id(lits)]) == sorted(lits[:2])
                 Checking.checks += 1
@@ -472,13 +479,14 @@ class TestWatchInvariant:
 
 class TestValueLayout:
     def check_complementary(self, s):
+        # v at slot 2v, -v at slot 2v + 1
         for v in range(1, s.n + 1):
-            pos, neg = s.value[v], s.value[-v]
+            pos, neg = s.value[2 * v], s.value[2 * v + 1]
             if pos == _UNASSIGNED:
                 assert neg == _UNASSIGNED, v
             else:
                 assert {pos, neg} == {0, 1}, v
-        assert len(s.value) == 2 * s.n + 1
+        assert len(s.value) == 2 * s.n + 2
 
     def test_both_polarities_after_solve_and_backjump(self):
         checked = 0
@@ -487,19 +495,52 @@ class TestValueLayout:
             s = _Solver(f, SolverConfig(seed=seed, reduce_interval=10))
             st = s.solve()
             self.check_complementary(s)
-            assigned = {abs(l) for l in s.trail}
+            assigned = {abs(dimacs(l)) for l in s.trail}
             for v in range(1, s.n + 1):
-                assert (s.value[v] != _UNASSIGNED) == (v in assigned)
+                assert (s.value[2 * v] != _UNASSIGNED) == (v in assigned)
             if st.result == "SAT":
                 assert len(assigned) == s.n
             s.backjump(0)
             self.check_complementary(s)
             assert s.trail_lim == [] and s.qhead == len(s.trail)
             for lit in s.trail:
-                assert s.level[abs(lit)] == 0
-                assert s.value[lit] == 1 and s.value[-lit] == 0
+                assert s.level[abs(dimacs(lit))] == 0
+                assert s.value[lit] == 1 and s.value[lit ^ 1] == 0
             checked += st.result == "SAT"
         assert checked > 0
+
+
+class TestLiteralCodes:
+    """Inside the solver a literal is a non-negative code, so no subscript
+    of value or watches is negative."""
+
+    def test_codes_round_trip(self):
+        s = _Solver(random_3sat(1, 25, 4.0), SolverConfig())
+        lits = range(-s.n, s.n + 1)
+        assert [dimacs(s.code[l]) for l in lits] == list(lits)
+        for v in range(1, s.n + 1):
+            assert s.code[v] == 2 * v and s.code[-v] == s.code[v] ^ 1
+
+    def test_solves_and_probes_hold_only_codes(self):
+        checked = learned = 0
+        for interval in range(1, 11):
+            f = random_3sat(900 + interval, 30, 4.0)
+            s = _Solver(f, SolverConfig(seed=interval, reduce_interval=interval))
+            if s.solve().result != "SAT":
+                continue
+            for v in range(1, s.n + 1):
+                s.probe(v)
+                s.probe(-v)
+            slots = range(2, 2 * s.n + 2)
+            assert all(c in slots for c in s.trail)
+            for c, watchlist in enumerate(s.watches):
+                for lits, _ in watchlist:
+                    assert c in slots and all(l in slots for l in lits)
+            for m in s.learned:
+                assert all(l in slots for l in m.lits)
+            checked += 1
+            learned += len(s.learned)
+        assert checked > 5 and learned > 0
 
 
 class TestProbe:
@@ -509,7 +550,7 @@ class TestProbe:
         s = _Solver(f, SolverConfig())
         assert s.solve().result == "SAT"
         assert s.probe(-3) is None
-        assert s.value[3] == 1 and s.level[3] == 0
+        assert s.value[2 * 3] == 1 and s.level[3] == 0
         assert s.probe(3)[3] is True
 
     def test_unsat_formula_has_no_probe_model(self):
@@ -552,7 +593,7 @@ class TestProbe:
             for v in range(1, f.num_vars + 1):
                 s.probe(v)
                 s.probe(-v)
-            extra = [m.lits for m in s.learned]
+            extra = [list(map(dimacs, m.lits)) for m in s.learned]
             learned += len(extra)
             g = CnfFormula.from_clause_lists(
                 f.num_vars, [list(c.lits) for c in f.clauses] + extra
@@ -567,11 +608,11 @@ class TestProbe:
             flip = None
 
             def enqueue(self, lit, reason=None):
-                return super().enqueue(-lit if lit == self.flip else lit, reason)
+                return super().enqueue(lit ^ 1 if lit == self.flip else lit, reason)
 
         s = Flipping(CnfFormula.from_clause_lists(2, [[1, 2]]), SolverConfig())
         assert s.solve().result == "SAT"
-        s.flip = 1
+        s.flip = 2  # the code of literal 1
         with pytest.raises(RuntimeError, match="violates the assumption"):
             s.probe(1)
 
